@@ -41,6 +41,7 @@ the bare name).
 """
 
 import argparse
+import json
 import sys
 
 from . import __version__
@@ -666,7 +667,8 @@ def _cmd_stream(args, stdout):
         if not args.quiet:
             print(
                 f"stream: batch consumed={report['consumed']} "
-                f"applied={report['applied']} offset={report['byte_offset']}"
+                f"applied={report['applied']} quarantined={report['quarantined']} "
+                f"offset={report['byte_offset']}"
                 + (" (log rotated; restarted)" if report["reset"] else ""),
                 file=sys.stderr,
             )
@@ -693,12 +695,19 @@ def _cmd_stream(args, stdout):
             stats = streamer.stats  # the last completed batch's offset is saved
         print(
             "stream: {statements} statements in {batches} batches "
-            "({applied} applied, {skipped} absorbed, "
+            "({applied} applied, {skipped} absorbed, {quarantined} quarantined, "
             "warm-hit ratio {warm_hit_ratio}); offset saved to {offset_path}".format(
                 **stats
             ),
             file=sys.stderr,
         )
+        # the same rows GET /quarantine serves, error record included
+        for row in streamer.quarantine.rows():
+            print(
+                f"stream: quarantined {row['name']} ({row['hash']}): "
+                + json.dumps(row["error"]),
+                file=sys.stderr,
+            )
         result = session.result
         if result is None:
             return 0

@@ -1,21 +1,20 @@
 """Poison-statement quarantine: bounded, backed-off, inspectable.
 
-Before this module a single malformed statement failed its whole
-micro-batch atomically — one bad dbt model in a 400-view corpus and
-nothing publishes.  The quarantine replaces that failure domain with
-per-statement isolation: when a statement fails to parse or extract, its
-``(name, content-hash)`` pair lands here with a structured error and an
-exponential backoff, the *rest* of the batch publishes normally, and the
-failing request's response row says ``quarantined`` instead of the whole
-request erroring.
+Both ingest front ends (the serving daemon's ``/extract`` and ``repro
+stream``) share one failure domain through :mod:`repro.ingest`: when a
+statement fails to parse or extract, its ``(name, content-hash)`` pair
+lands here with a structured error and an exponential backoff, the
+*rest* of the batch lands normally, and the statement is reported as
+``quarantined`` instead of failing its whole batch.
 
 Semantics:
 
-* the key is the ``(name, hash)`` pair — the same dedupe key the batcher
-  uses.  Fixing the SQL changes the hash, so a corrected resubmission is
-  a fresh pair and extracts immediately; resubmitting the *same* broken
-  text inside the backoff window is rejected up front (status
-  ``quarantined``, with ``retry_after_seconds``) without burning a parse;
+* the key is the ``(name, hash)`` pair — ingest's ``(name, text)``
+  dedupe key, hashed.  Fixing the SQL changes the hash, so a corrected
+  resubmission is a fresh pair and extracts immediately; the daemon
+  rejects the *same* broken text inside the backoff window up front
+  (status ``quarantined``, with ``retry_after_seconds``) without burning
+  a parse;
 * backoff doubles per failure (``base * 2**(failures-1)``, capped), so a
   client hammering a poison statement converges to the cap instead of
   re-parsing on every batch.  After the window expires the pair may try
@@ -27,8 +26,9 @@ Semantics:
 * ``GET /quarantine`` renders :meth:`rows` — everything an operator
   needs to see what is stuck and why.
 
-The table is only touched from the ingest loop (classification) and its
-worker thread boundary, which the batcher serialises — no lock needed.
+Writes come from one ingest step at a time (the daemon runs its steps
+one after another, on the loop and in one worker thread), and reads
+copy what they iterate — no lock needed.
 """
 
 import time

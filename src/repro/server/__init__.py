@@ -13,10 +13,12 @@ or embed it::
     app.run(host="127.0.0.1", port=8765)
 
 Design in one paragraph: all writes (``POST /extract``) funnel through a
-single micro-batching ingest loop that dedupes statements by content
-hash before parsing, journals every accepted novel statement (fsync'd)
-before extraction, and runs one incremental ``refresh()`` per batch on
-a worker thread; after each successful batch an immutable frozen graph
+single micro-batching ingest loop that dedupes statements against the
+session's applied text before parsing, journals every accepted novel
+statement (fsync'd) before extraction, and hands each batch to the
+shared ingest core (:mod:`repro.ingest`: one incremental ``refresh()``
+when the batch is clean, bisection when it is not) on a worker thread;
+after each successful batch an immutable frozen graph
 snapshot is published by an atomic reference swap, and every read
 endpoint (``/impact``, ``/ordering``, ``/render/{fmt}``, ``/stats``,
 ``/health``, ``/quarantine``) serves from the snapshot it grabbed with
@@ -27,15 +29,10 @@ daemon replays its journal on restart to a byte-identical graph.
 """
 
 from .app import LineageApp
-from .batcher import (
-    ExtractionFailed,
-    IngestBatcher,
-    OverloadedError,
-    statement_hash,
-)
+from .batcher import ExtractionFailed, IngestBatcher, OverloadedError
 from .http import Request, Response
 from .journal import IngestJournal, JournalError, JournalWriteError
-from .quarantine import Quarantine
+from ..quarantine import Quarantine
 from .snapshot import Snapshot, SnapshotManager
 
 __all__ = [
@@ -51,5 +48,4 @@ __all__ = [
     "Response",
     "Snapshot",
     "SnapshotManager",
-    "statement_hash",
 ]

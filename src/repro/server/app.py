@@ -5,8 +5,9 @@
 * a sourceless :class:`~repro.session.LineageSession` (optionally backed
   by a persistent store via ``cache_dir``) owned exclusively by the
   ingest loop;
-* an :class:`~repro.server.batcher.IngestBatcher` that hash-dedupes and
-  micro-batches every ``POST /extract``;
+* an :class:`~repro.server.batcher.IngestBatcher` that dedupes and
+  micro-batches every ``POST /extract`` and hands each batch to the
+  shared ingest core (:mod:`repro.ingest`);
 * a :class:`~repro.server.snapshot.SnapshotManager` publishing an
   immutable graph generation after each successful batch, which every
   read endpoint serves from without locking;
@@ -38,7 +39,6 @@ from concurrent.futures import ThreadPoolExecutor
 from .batcher import IngestBatcher
 from .http import serve_connection
 from .journal import IngestJournal
-from .quarantine import Quarantine
 from .routes import dispatch
 from .snapshot import SnapshotManager
 from ..core.lineage import LineageGraph
@@ -100,7 +100,7 @@ class LineageApp:
             session, self.snapshots, executor=self.executor,
             batch_window=batch_window,
             journal=self.journal,
-            quarantine=quarantine if quarantine is not None else Quarantine(),
+            quarantine=quarantine,
             max_pending=max_pending,
             max_batch_statements=max_batch_statements,
         )

@@ -1,24 +1,26 @@
-"""The ingest side of the daemon: hash-deduped, journaled, fault-isolated.
+"""The ingest side of the daemon: deduped, journaled, fault-isolated.
 
 All writes funnel through one :class:`IngestBatcher`.  ``POST /extract``
 handlers call :meth:`submit` and await the result; a single ingest task
 drains the queue, coalesces everything that arrived within the batch
-window into one micro-batch, and runs one ``session.refresh()`` per
-batch in a worker thread so the event loop keeps serving reads.
+window into one micro-batch, and hands it to the shared ingest core
+(:mod:`repro.ingest`) in a worker thread so the event loop keeps
+serving reads.
 
-Deduplication keys on the **(view name, statement text)** pair — the
-name plus a sha256 of the SQL bytes — before any parsing:
+Deduplication keys on the **(view name, statement text)** pair, checked
+before any parsing against the session's record of applied text
+(:attr:`~repro.session.LineageSession.statements`); the batcher keeps no
+bookkeeping of its own:
 
-* a (name, hash) pair the daemon has already extracted is a
-  *duplicate*: it is answered from bookkeeping alone and never reaches
-  the parser (this is the cheap path that makes duplicate-heavy
-  workloads an order of magnitude faster than unique ones);
+* a pair the session already holds is a *duplicate*: it is answered at
+  once and never reaches the parser (this is the cheap path that makes
+  duplicate-heavy workloads an order of magnitude faster than unique
+  ones);
 * the same pair submitted twice inside one micro-batch (two concurrent
   clients racing the same statement) is *coalesced*: one extraction,
   both requests get the answer;
-* a known view name arriving with new text is a *redefinition*: the new
-  hash replaces the old one, so the old text would extract again if
-  resubmitted.
+* a known view name arriving with new text is a *redefinition*: once it
+  lands, the old text would extract again if resubmitted.
 
 The name is part of the key because the ``{name: sql}`` mapping can
 legitimately carry the same text under two names (dbt-style passthrough
@@ -28,8 +30,8 @@ extract, so only an exact (name, text) repeat is skippable.
 Durability: when a :class:`~repro.server.journal.IngestJournal` is
 attached, every *accepted novel* statement is appended and fsync'd
 before extraction starts — a SIGKILL after the append loses nothing,
-because boot replays the journal through :meth:`replay` (which submits
-with ``journal=False``: those entries are already durable).  The journal
+because boot replays the journal through :meth:`replay` (not
+re-journaled: those entries are already durable).  The journal
 checkpoint advances after each batch publishes, which is what makes old
 segments eligible for compaction.  A journal append that cannot be made
 durable fails the batch with a *retryable* :class:`ExtractionFailed`
@@ -42,11 +44,13 @@ definition instead of resurrecting text that never made it into the
 graph; if the tombstone cannot be made durable, the checkpoint is held
 below the quarantined offset so compaction cannot discard the fallback.
 
-Failure domain: **per statement**, not per batch.  A micro-batch whose
-refresh fails falls back to extracting each statement individually; the
-failures land in the :class:`~repro.server.quarantine.Quarantine` (their
+Failure domain: **per statement**, not per batch.  Each micro-batch goes
+through the shared ingest core (:func:`repro.ingest.apply`): one refresh
+when the batch is clean, bisection down to the poison when it is not.
+The failures land in the :class:`~repro.quarantine.Quarantine` (their
 response rows carry status ``quarantined`` plus a structured error and a
-backoff hint) while the survivors publish normally.  A pair still inside
+backoff hint) while the survivors publish normally, and a name whose
+newest version quarantined keeps its previous one.  A pair still inside
 its backoff window is rejected at classification time without burning a
 parse.  Duplicate-only requests are answered before extraction starts
 and are unaffected by any of this.
@@ -60,20 +64,15 @@ intermediate snapshots, which is the point).
 """
 
 import asyncio
-import hashlib
 
 from .journal import JournalError
-from .quarantine import Quarantine
+from .. import ingest
+from ..quarantine import Quarantine
+from ..sources.base import content_hash
 from ..testing import faults
 
 
 _SHUTDOWN = object()
-
-
-def statement_hash(sql):
-    """sha256 hex digest of the raw statement text (half the dedupe key:
-    the batcher pairs it with the view name)."""
-    return hashlib.sha256(sql.encode("utf-8")).hexdigest()
 
 
 class _PendingRequest:
@@ -104,10 +103,10 @@ class IngestBatcher:
         self._queue = asyncio.Queue()
         self._task = None
         self._stopping = False
-        # name -> hash of its current text, for every statement the
-        # daemon has extracted; a redefinition overwrites its entry, so
-        # the retired text is no longer a known pair
-        self._name_hash = {}
+        # the session result the current snapshot was frozen from: while
+        # a failed publish leaves the session ahead of its readers, no
+        # pair counts as a duplicate, so the next batch republishes
+        self._published = session.result
         # journal offsets that quarantined but whose tombstone could not
         # be made durable yet: re-marked every batch, and the checkpoint
         # is clamped below them until the marks stick (compaction past an
@@ -168,12 +167,10 @@ class IngestBatcher:
                 f"ingest queue full ({self._max_pending} pending requests)",
                 retry_after=self._retry_after_hint(),
             )
-        hashed = [
-            (str(name), sql, statement_hash(sql)) for name, sql in statements.items()
-        ]
-        future = asyncio.get_running_loop().create_future()
-        await self._queue.put(_PendingRequest(hashed, future, journal))
-        return await future
+        return await self._enqueue(
+            [(str(name), sql, content_hash(sql)) for name, sql in statements.items()],
+            journal,
+        )
 
     async def replay(self, entries):
         """Feed journal entries ``[(offset, name, sql, hash)]`` back through
@@ -190,27 +187,25 @@ class IngestBatcher:
         redefinition the crash caught journaled-but-unmarked) falls back
         to the name's next-most-recent journaled definition, so recovery
         converges on the last definition that actually *published*
-        instead of losing the name from the graph entirely.
+        instead of losing the name from the graph entirely.  Returns how
+        many definitions were tried: each name's latest, plus every one a
+        quarantined definition fell back to.
         """
-        versions = {}  # name -> [sql, ...] in offset order (top = latest)
-        for _offset, name, sql, _digest in entries:
-            versions.setdefault(name, []).append(sql)
-        total = 0
-        batch = {name: stack[-1] for name, stack in versions.items()}
-        while batch:
-            result = await self.submit(batch, journal=False)
-            total += len(batch)
-            batch = {}
-            for row in result["statements"]:
-                if row["status"] != "quarantined":
-                    continue
-                stack = versions.get(row["name"])
-                if stack:
-                    stack.pop()  # the attempted (latest) version failed
-                if stack:
-                    batch[row["name"]] = stack[-1]
+        result = await self._enqueue(
+            [(name, sql, digest) for _offset, name, sql, digest in entries],
+            journal=False,
+        )
+        rows = result["statements"]
+        total = sum(1 for row in rows if row["status"] == "quarantined") + len(
+            {row["name"] for row in rows if row["status"] != "quarantined"}
+        )
         self.counters["replayed"] += total
         return total
+
+    async def _enqueue(self, statements, journal):
+        future = asyncio.get_running_loop().create_future()
+        await self._queue.put(_PendingRequest(statements, future, journal))
+        return await future
 
     def _retry_after_hint(self):
         """A Retry-After guess: roughly how long the backlog takes to drain."""
@@ -248,10 +243,7 @@ class IngestBatcher:
                 # bookkeeping) must not kill the ingest task: fail this
                 # batch's still-unresolved futures and keep serving
                 self.counters["batch_failures"] += 1
-                failure = ExtractionFailed(
-                    f"{type(error).__name__}: {error}",
-                    sum(len(request.statements) for request in pending),
-                )
+                failure = ExtractionFailed(f"{type(error).__name__}: {error}")
                 for request in pending:
                     if not request.future.done():
                         request.future.set_exception(failure)
@@ -260,9 +252,13 @@ class IngestBatcher:
 
     async def _process(self, pending):
         """Assemble one micro-batch from ``pending`` requests and run it."""
-        changes = {}          # name -> sql: the novel statements to extract
-        batch_hashes = {}     # name -> hash staged by this batch (coalescing)
-        journal_names = []    # staged names needing a journal entry, in order
+        # while a failed publish leaves the session ahead of its readers,
+        # nothing counts as applied
+        behind = self._session.result is not self._published
+        known = {} if behind else self._session.statements
+        versions = {}         # name -> [sql, ...]: the novel statements, in order
+        staged = {}           # name -> hash staged last by this batch (coalescing)
+        journal_entries = []  # (name, sql, hash) needing a journal entry, in order
         waiting = []          # requests that contributed novel statements
         statuses = {}         # id(request) -> per-statement status rows
         for request in pending:
@@ -287,20 +283,20 @@ class IngestBatcher:
                     continue
                 # the dedupe key is the (name, text) pair: identical text
                 # under a different name is a distinct view, not a dupe
-                if self._name_hash.get(name) == digest:
+                if known.get(name) == sql:
                     status = "duplicate"
                     self.counters["duplicate"] += 1
-                elif batch_hashes.get(name) == digest:
+                elif staged.get(name) == digest:
                     status = "coalesced"
                     self.counters["coalesced"] += 1
                     novel = True  # outcome depends on this batch
                 else:
                     status = "extracted"
                     self.counters["extracted"] += 1
-                    if request.journal and name not in journal_names:
-                        journal_names.append(name)
-                    batch_hashes[name] = digest
-                    changes[name] = sql
+                    if request.journal:
+                        journal_entries.append((name, sql, digest))
+                    staged[name] = digest
+                    versions.setdefault(name, []).append(sql)
                     novel = True
                 rows.append({"name": name, "status": status, "hash": digest[:12]})
             self.counters["requests"] += 1
@@ -324,14 +320,11 @@ class IngestBatcher:
         # ---- durability first: journal every accepted novel statement
         # (fsync'd) before any extraction work starts
         max_offset = None
-        journal_offsets = {}  # name -> its journal offset this batch
-        if self._journal is not None and journal_names:
-            entries = [
-                (name, changes[name], batch_hashes[name]) for name in journal_names
-            ]
+        journal_offsets = {}  # (name, hash) -> its journal offset this batch
+        if self._journal is not None and journal_entries:
             try:
                 offsets = await loop.run_in_executor(
-                    self._executor, self._journal.append_batch, entries
+                    self._executor, self._journal.append_batch, journal_entries
                 )
             except JournalError as error:
                 # could not promise durability: refuse the whole batch
@@ -340,14 +333,17 @@ class IngestBatcher:
                 self.counters["journal_failures"] += 1
                 self.counters["batch_failures"] += 1
                 failure = ExtractionFailed(
-                    f"journal append failed: {error}", len(changes), retryable=True
+                    f"journal append failed: {error}", retryable=True
                 )
                 for request in waiting:
                     if not request.future.done():
                         request.future.set_exception(failure)
                 return
             self.counters["journal_entries"] += len(offsets)
-            journal_offsets = dict(zip(journal_names, offsets))
+            journal_offsets = {
+                (name, digest): offset
+                for (name, _sql, digest), offset in zip(journal_entries, offsets)
+            }
             max_offset = offsets[-1] if offsets else None
 
         # ---- extraction, chunked so one oversized batch cannot stall
@@ -357,7 +353,7 @@ class IngestBatcher:
         # chunk boundaries change dependency context and store keys,
         # which is exactly what makes chunked replay ~5x slower (see
         # replay()), and nobody reads intermediate snapshots during boot.
-        items = list(changes.items())
+        items = list(versions.items())
         size = self._max_batch_statements
         splittable = all(request.journal for request in waiting)
         if size and splittable and len(items) > size:
@@ -366,39 +362,22 @@ class IngestBatcher:
         else:
             chunks = [items]
 
-        failed = {}   # name -> {"error": payload, "retry_after_seconds": s}
+        failed = {}   # (name, hash) -> {"error": payload, "retry_after_seconds": s}
         report = None
         for chunk in chunks:
-            chunk_changes = dict(chunk)
-            names = sorted(set(self._name_hash) | set(chunk_changes))
-            try:
-                # refresh AND freeze in the worker thread: freezing a
-                # large graph copies the relation map and builds the
-                # adjacency index, which would stall every read endpoint
-                # if it ran on the event loop.  Only the reference swap
-                # happens here.
-                result, snapshot = await loop.run_in_executor(
-                    self._executor, self._refresh_and_freeze, chunk_changes, names
-                )
-            except Exception:  # noqa: BLE001 - per-statement isolation
-                # the chunk failed as a unit: isolate the poison by
-                # extracting each statement individually
-                await self._extract_individually(loop, chunk, batch_hashes, failed)
-                continue
-            report = getattr(result, "report", None)
-            # publish, then adopt the chunk: remember every staged
-            # (name, hash) pair — overwriting retires a redefined name's
-            # old text.  Publish comes first (a client that sees
-            # "extracted" can immediately read its lineage) and
-            # bookkeeping second, so a failed install leaves no pair
-            # falsely marked known.
-            self._snapshots.install(snapshot)
-            for name in chunk_changes:
-                digest = batch_hashes[name]
-                self._name_hash[name] = digest
-                self.quarantine.clear(name, digest)
+            chunk_failed, result, snapshot = await loop.run_in_executor(
+                self._executor, self._apply_and_freeze, dict(chunk)
+            )
+            failed.update(chunk_failed)
+            if snapshot is not None:
+                # publish: a client that sees "extracted" can immediately
+                # read its lineage
+                self._snapshots.install(snapshot)
+                self._published = result
+                report = result.report
 
         if failed:
+            self.counters["quarantined"] += len(failed)
             self.counters["batch_failures"] += 1
 
         # ---- tombstone journaled statements that quarantined instead of
@@ -408,8 +387,7 @@ class IngestBatcher:
         checkpoint_offset = max_offset
         if self._journal is not None:
             self._unmarked_quarantined.update(
-                journal_offsets[name] for name in failed
-                if name in journal_offsets
+                journal_offsets[key] for key in failed if key in journal_offsets
             )
             if self._unmarked_quarantined:
                 try:
@@ -450,61 +428,32 @@ class IngestBatcher:
             if request.future.done():
                 continue
             rows = statuses[id(request)]
-            for row in rows:
-                outcome = failed.get(row["name"])
+            for (name, _sql, digest), row in zip(request.statements, rows):
+                outcome = failed.get((name, digest))
                 if outcome is not None and row["status"] in ("extracted", "coalesced"):
                     row["status"] = "quarantined"
-                    row["error"] = outcome["error"]
-                    row["retry_after_seconds"] = outcome["retry_after_seconds"]
+                    row.update(outcome)
             request.future.set_result(self._result_payload(rows, report, version))
 
-    async def _extract_individually(self, loop, chunk, batch_hashes, failed):
-        """Fallback path after a chunk refresh failed: one statement at a
-        time, quarantining the failures and publishing the survivors."""
-        survivors = False
-        for name, sql in chunk:
-            digest = batch_hashes[name]
-            try:
-                await loop.run_in_executor(self._executor, self._refresh_one, name, sql)
-            except Exception as error:  # noqa: BLE001 - this IS the isolation
-                payload = {"type": type(error).__name__, "message": str(error)}
-                backoff = self.quarantine.record(name, digest, payload)
-                self.counters["quarantined"] += 1
-                failed[name] = {
-                    "error": payload,
-                    "retry_after_seconds": round(backoff, 3),
-                }
-                continue
-            survivors = True
-            self._name_hash[name] = digest
-            self.quarantine.clear(name, digest)
-        if survivors and self._session.result is not None:
-            names = sorted(self._name_hash)
-            graph = self._session.result.graph
-            snapshot = await loop.run_in_executor(
-                self._executor,
-                lambda: self._snapshots.prepare(graph, statement_names=names),
-            )
-            self._snapshots.install(snapshot)
+    def _apply_and_freeze(self, versions):
+        """Worker-thread half of a batch: the ingest core, then a freeze.
 
-    def _refresh_one(self, name, sql):
-        """Worker-thread single-statement refresh (the isolation unit)."""
-        faults.fire("batcher.refresh")
-        return self._session.refresh({name: sql})
-
-    def _refresh_and_freeze(self, changes, statement_names):
-        """Worker-thread half of a batch: extract, then freeze the result.
-
-        Returns ``(refresh result, unpublished Snapshot)``; the ingest
-        loop installs the snapshot with an atomic swap once bookkeeping
-        is adopted.
+        Returns ``(failed, result, snapshot)``, where ``failed`` is what
+        :func:`repro.ingest.apply` quarantined and ``snapshot`` is
+        ``None`` when the readers already see ``result``.  Freezing a
+        large graph copies the relation map and builds the adjacency
+        index, which would stall every read endpoint if it ran on the
+        event loop; the loop only installs the snapshot (an atomic swap).
         """
         faults.fire("batcher.refresh")
-        result = self._session.refresh(changes)
+        failed, _ = ingest.apply(self._session, versions, self.quarantine)
+        result = self._session.result
+        if result is None or result is self._published:
+            return failed, result, None
         snapshot = self._snapshots.prepare(
-            result.graph, statement_names=statement_names
+            result.graph, statement_names=sorted(self._session.statements)
         )
-        return result, snapshot
+        return failed, result, snapshot
 
     def _result_payload(self, rows, report, version=None):
         payload = {
@@ -532,7 +481,7 @@ class IngestBatcher:
         total = counters["statements"]
         skipped = counters["duplicate"] + counters["coalesced"]
         counters["dedupe_ratio"] = round(skipped / total, 4) if total else 0.0
-        counters["known_statements"] = len(self._name_hash)
+        counters["known_statements"] = len(self._session.statements)
         counters["queue_depth"] = self._queue.qsize()
         counters["max_pending"] = self._max_pending
         counters["max_batch_statements"] = self._max_batch_statements
@@ -540,16 +489,15 @@ class IngestBatcher:
 
 
 class ExtractionFailed(RuntimeError):
-    """A micro-batch failed; carries how many statements it contained.
+    """A micro-batch failed.
 
     ``retryable`` marks failures where the statements themselves are fine
     but the daemon could not process them right now (journal write
     failure) — the HTTP layer answers 503 instead of 500 for those.
     """
 
-    def __init__(self, message, batch_size, retryable=False):
+    def __init__(self, message, retryable=False):
         super().__init__(message)
-        self.batch_size = batch_size
         self.retryable = retryable
 
 

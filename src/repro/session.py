@@ -10,7 +10,7 @@ configured object:
 >>> result = session.extract()               # auto-detected source adapter
 >>> print(result.render("markdown"))         # any registered format
 >>> # ... edit files under models/ ...
->>> refreshed = session.refresh()            # content-hash diff -> incremental
+>>> refreshed = session.refresh()            # text diff -> incremental
 
 With ``cache_dir`` the session keeps a persistent content-addressed
 lineage store, so a *new process* over an unchanged corpus warm-starts by
@@ -43,13 +43,15 @@ working unchanged.
 import os
 import threading
 from dataclasses import dataclass, replace as dataclass_replace
+from types import MappingProxyType
 from typing import Protocol, runtime_checkable
 
 from .core.errors import SessionClosedError
 from .core.plan_extractor import PlanModeRunner
 from .core.runner import LineageXRunner
 from .core.scheduler import EXECUTORS
-from .sources import Source, diff_fingerprints
+from .ingest import pending
+from .sources import Source
 
 #: engine name -> builder; the seam future engines plug into.
 ENGINES = ("static", "plan")
@@ -223,8 +225,7 @@ class LineageSession:
         self.config = config
         self.catalog = catalog
         self.source = Source.detect(source) if source is not None else None
-        self._payload = None       # what load() produced at extract time
-        self._fingerprint = None   # {name: hash} snapshot for rescan diffs
+        self._payload = None       # the text the current result was built from
         self._result = None
         self._store = None         # lazily opened LineageStore (cache_dir)
         #: serialises extract()/refresh(): the session mutates one result
@@ -241,6 +242,18 @@ class LineageSession:
     def result(self):
         """The most recent extraction result (``None`` before extract())."""
         return self._result
+
+    @property
+    def statements(self):
+        """The ``{name: sql}`` text the current result was built from.
+
+        This is the one record of which text is applied under each name:
+        the ingest front ends (:mod:`repro.ingest`) dedupe against it
+        instead of keeping their own.  Empty before the first extraction
+        and for payloads that are not name-addressable (raw SQL text).
+        """
+        payload = self._payload if isinstance(self._payload, dict) else {}
+        return MappingProxyType(payload)
 
     @property
     def engine(self):
@@ -337,22 +350,13 @@ class LineageSession:
                 raise ValueError(
                     "no source to extract: pass one to LineageSession(...) or extract(...)"
                 )
-            self._payload = self.source.load()
-            # the snapshot only feeds rescan-based change detection, so don't
-            # charge in-memory sources (which cannot rescan) for hashing it;
-            # hash the payload in hand rather than calling source.fingerprint()
-            # (which would load() a second time and could race a file edit)
-            if self.source.supports_rescan and isinstance(self._payload, dict):
-                from .sources.base import fingerprint_mapping
-
-                self._fingerprint = fingerprint_mapping(self._payload)
-            else:
-                self._fingerprint = None
-            result = self._build_engine().run(self._payload)
+            payload = self.source.load()
+            result = self._build_engine().run(payload)
             if self._closed:
                 # close() landed while the engine ran: the store flush was
                 # torn down under this extraction — refuse to adopt it
                 raise SessionClosedError("extract")
+            self._payload = payload
             self._result = result
             return self._result
 
@@ -364,9 +368,9 @@ class LineageSession:
         changes:
             ``{name: new_sql}`` delta (``None`` value removes the entry).
             When omitted, the source is **re-scanned** and the delta is
-            computed by content-hash diff against the snapshot taken at
-            extraction time — supported for directory, dbt-directory and
-            query-log-file sources.
+            computed by diffing it against the applied text
+            (:attr:`statements`) — supported for directory, dbt-directory
+            and query-log-file sources.
 
         With the static engine this feeds the delta into the incremental
         layer (:meth:`LineageXResult.update`): only changed entries and
@@ -392,7 +396,6 @@ class LineageSession:
                     if self._closed:
                         raise SessionClosedError("refresh")
                     self._payload = payload
-                    self._fingerprint = None
                     self._result = result
                     return result
                 return self.extract()
@@ -416,11 +419,6 @@ class LineageSession:
                 self._result = updated
                 if isinstance(self._payload, dict):
                     self._payload = self._merged_payload(changes)
-            if self.source is not None and self.source.supports_rescan \
-                    and isinstance(self._payload, dict):
-                from .sources.base import fingerprint_mapping
-
-                self._fingerprint = fingerprint_mapping(self._payload)
             return self._result
 
     def _detect_changes(self):
@@ -430,12 +428,14 @@ class LineageSession:
                 f"({'no source' if self.source is None else self.source.kind!r}); "
                 "pass the changes to refresh() explicitly"
             )
-        if self._fingerprint is None:
+        if not isinstance(self._payload, dict):
             raise ValueError(
-                "no fingerprint snapshot from the last extract(); "
+                "no name-addressable payload from the last extract(); "
                 "pass the changes to refresh() explicitly"
             )
-        return diff_fingerprints(self._fingerprint, self.source.rescan())
+        # the applied text is the baseline: every name the rescan redefines
+        # or adds, plus a removal for every name it no longer has
+        return pending(self, dict.fromkeys(self._payload) | self.source.rescan())
 
     def _merged_payload(self, changes):
         if not isinstance(self._payload, dict):
@@ -459,9 +459,10 @@ class LineageSession:
         ``log`` is the path of a JSONL query log; when omitted, the
         session's own source must be a file-backed query log.  The
         returned streamer feeds this session in micro-batches (repeated
-        statements are absorbed by content hash, changed definitions go
-        through :meth:`refresh`), persists a crash-safe resume offset next
-        to the log, and optionally compacts superseded store records —
+        statements are absorbed against the applied text, changed
+        definitions go through :mod:`repro.ingest`, poison quarantines),
+        persists a crash-safe resume offset next to the log, and
+        optionally compacts superseded store records —
         see :mod:`repro.streaming` for the knobs and the crash-safety
         contract.  A *sourceless* session is the natural shape: its first
         batch bootstraps the corpus.

@@ -84,7 +84,8 @@ class Source:
 
 
 def content_hash(text):
-    """A stable hex fingerprint of one source text."""
+    """sha256 hex digest of one raw source text: the rescan fingerprint,
+    and the statement hash of ingest (quarantine key, journal entries)."""
     return hashlib.sha256(str(text).encode("utf-8")).hexdigest()
 
 

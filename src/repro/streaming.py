@@ -6,18 +6,28 @@
 * each batch consumes only the bytes appended since the last poll
   (:class:`~repro.sources.query_log.LogTailer` — torn final lines are left
   for the next poll, rotation/truncation restarts clean);
-* statements are keyed by **content hash** before they reach the engine:
-  a re-executed statement whose text is unchanged is absorbed at the cost
-  of one hash — most production log traffic never touches the parser;
-* genuinely changed definitions flow through ``session.refresh(changes)``,
-  so only the dirty set (the changed names plus their transitive DAG
-  dependents) is re-extracted per batch;
+* statements are checked against the session's record of applied text
+  (:attr:`~repro.session.LineageSession.statements`) before they reach
+  the engine: a re-executed statement whose text is unchanged is absorbed
+  by a string comparison — most production log traffic never touches the
+  parser, and only changed statements are ever hashed;
+* genuinely changed definitions go through the shared ingest core
+  (:func:`repro.ingest.apply`), so only the dirty set (the changed names
+  plus their transitive DAG dependents) is re-extracted per batch;
+* a poison statement is **quarantined** the way ``POST /extract``
+  quarantines it: the batch is bisected down to the statement, which gets
+  the same ``{"type", "message"}`` error record and backoff; the rest of
+  the batch lands, the offset advances, and the name keeps its previous
+  definition (the batch's next-newest version of it, or what the session
+  already had);
 * after every applied batch the **resume offset** is persisted atomically
   (``<log>.offset.json``: byte offset + line count + prefix digest).  A
   restarted streamer verifies the digest by replaying the consumed prefix,
-  re-applies it as *one* bootstrap batch (warm-spliced from the store),
-  and continues from the offset.  A log that was rotated or truncated
-  fails the digest check and is re-ingested from scratch;
+  re-applies it as *one* bootstrap batch (warm-spliced from the store; a
+  name whose latest definition quarantines falls back past it, as in an
+  uninterrupted run), and continues from the offset.  A log that was
+  rotated or truncated fails the digest check and is re-ingested from
+  scratch;
 * when a name's definition changes, the **superseded** canonical content
   hashes are flagged in the store
   (:meth:`~repro.store.LineageStore.mark_superseded`), making the stale
@@ -26,18 +36,20 @@
 
 Crash-safety contract: the offset is written *after* the refresh that
 consumed the batch, so a crash between the two replays the batch on
-resume.  Replays are idempotent — re-applying a statement whose hash is
+resume.  Replays are idempotent — re-applying a statement whose text is
 already current is a no-op, and the store absorbs re-extractions as warm
 hits — so the end-state graph after SIGKILL + resume is byte-identical to
-an uninterrupted run (and to a one-shot batch load of the same log).
+an uninterrupted run (and, without poison, to a one-shot batch load of
+the same log).
 """
 
 import json
 import os
 import time
 
-from .sources.base import content_hash
-from .sources.query_log import LogTailer, _timestamp_key
+from . import ingest
+from .quarantine import Quarantine
+from .sources.query_log import LogTailer, _replay_order, _timestamp_key
 
 #: schema version of the persisted offset file.
 OFFSET_VERSION = 1
@@ -116,8 +128,8 @@ class QueryLogStreamer:
         #: False once any record's timestamp failed to parse — from then on
         #: (and retroactively) file order decides, matching parse_query_log
         self._all_keyed = True
-        #: name -> source-text hash currently applied to the session
-        self._applied = {}
+        #: poisoned (name, hash) pairs, shared semantics with the daemon
+        self.quarantine = Quarantine()
         self._saved_offset = None   # byte_offset last persisted
         self._resume_checked = False
         # counters (exposed via .stats)
@@ -125,6 +137,7 @@ class QueryLogStreamer:
         self.statements = 0
         self.applied_statements = 0
         self.skipped_statements = 0
+        self.quarantined_statements = 0
         self.resets = 0
         self.resumed_lines = 0
         self.compactions = 0
@@ -147,6 +160,7 @@ class QueryLogStreamer:
             "applied": self.applied_statements,
             "skipped": self.skipped_statements,
             "warm_hit_ratio": round(self.skipped_statements / total, 4) if total else 0.0,
+            "quarantined": self.quarantined_statements,
             "resets": self.resets,
             "resumed_lines": self.resumed_lines,
             "compactions": self.compactions,
@@ -190,10 +204,7 @@ class QueryLogStreamer:
         ):
             self._tailer.reset()
             return
-        dirty = self._absorb(records)
-        changes = self._pending_changes(dirty)
-        if changes:
-            self._apply(changes)
+        self._ingest(records, self._absorb(records))
         self.resumed_lines = line_count
         self._saved_offset = byte_offset
 
@@ -212,7 +223,7 @@ class QueryLogStreamer:
                 # winner may change, so mark them all dirty
                 self._all_keyed = False
                 dirty.update(self._winner_line)
-                dirty.update(self._applied)
+                dirty.update(self.session.statements)
             name = record.name
             self._winner_line[name] = (record.line_number, record.sql)
             if key is not None:
@@ -230,40 +241,31 @@ class QueryLogStreamer:
         winner = self._winner_line.get(name)
         return winner[1] if winner is not None else None
 
-    def _pending_changes(self, names):
-        """The ``{name: sql-or-None}`` delta the session has not seen yet."""
-        changes = {}
-        for name in names:
-            sql = self._effective_sql(name)
-            if sql is None:
-                if name in self._applied:
-                    changes[name] = None
-                continue
-            if self._applied.get(name) != content_hash(sql):
-                changes[name] = sql
-        return changes
+    def _ingest(self, records, names):
+        """Apply the names whose effective definition the session lacks.
 
-    def _apply(self, changes):
-        """Refresh the session with ``changes`` and mark superseded hashes."""
-        previous = self.session.result
-        prev_hashes = dict(previous.source_hashes) if previous is not None else {}
-        result = self.session.refresh(changes)
+        Each changed name goes in with its definitions from ``records`` in
+        winner order, so a quarantined winner falls back to the next one.
+        Returns ``(names changed, versions quarantined)``.
+        """
+        changes = ingest.pending(
+            self.session, {name: self._effective_sql(name) for name in names}
+        )
+        if not changes:
+            return 0, 0
+        seen = [record for record in records if record.name in changes]
+        if self._all_keyed:
+            seen = _replay_order(seen)
+        versions = {name: [] for name in changes}
+        for record in seen:
+            versions[record.name].append(record.sql)
         for name, sql in changes.items():
-            if sql is None:
-                self._applied.pop(name, None)
-            else:
-                self._applied[name] = content_hash(sql)
-        store = self.session.store
-        if store is not None and prev_hashes:
-            live = set(result.source_hashes.values())
-            superseded = {
-                old for name in changes
-                for old in (prev_hashes.get(name),)
-                if old is not None and old not in live
-            }
-            if superseded:
-                self.superseded_marked += store.mark_superseded(superseded)
-        return result
+            # each text at its latest position, the winner last
+            versions[name] = list(dict.fromkeys(reversed(versions[name] + [sql])))[::-1]
+        failed, superseded = ingest.apply(self.session, versions, self.quarantine)
+        self.superseded_marked += superseded
+        self.quarantined_statements += len(failed)
+        return len(changes), len(failed)
 
     def _save_offset(self):
         position = self._tailer.position
@@ -308,33 +310,31 @@ class QueryLogStreamer:
             # clean — every previously applied name is a removal candidate
             # unless the new log (re-)defines it
             self.resets += 1
-            dirty.update(self._applied)
+            dirty.update(self.session.statements)
             self._winner_ts = {}
             self._winner_line = {}
             self._all_keyed = True
-        dirty |= self._absorb(records)
-        consumed = len(records)
         tail_consumed = 0
         if consume_tail and not records:
             tail = self._tailer.peek_tail()
             if tail is not None:
-                dirty |= self._absorb([tail])
-                consumed += 1
+                records = [tail]
                 tail_consumed = 1
-        changes = self._pending_changes(dirty)
-        if changes:
-            self._apply(changes)
+        dirty |= self._absorb(records)
+        consumed = len(records)
+        applied, quarantined = self._ingest(records, dirty)
         self.statements += consumed
-        self.applied_statements += len(changes)
-        self.skipped_statements += consumed - min(len(changes), consumed)
+        self.applied_statements += applied
+        self.skipped_statements += consumed - min(applied, consumed)
         if consumed or reset:
             self.batches += 1
         self._save_offset()
-        if changes:
+        if applied:
             self._maybe_compact()
         return {
             "consumed": consumed,
-            "applied": len(changes),
+            "applied": applied,
+            "quarantined": quarantined,
             "reset": reset,
             "tail": tail_consumed,
             "byte_offset": self._tailer.position.byte_offset,

@@ -97,6 +97,23 @@ prop_settings = settings(
 )
 
 
+@pytest.fixture(scope="class", params=["numpy", "python"])
+def partition_walk(request):
+    """Run the class once per partition walk: the numpy one (skipped when
+    numpy is not installed) and the pure-Python one (``reach._np = None``,
+    the switch :class:`TestPythonFallback` uses)."""
+    import repro.analysis.reach as reach_module
+
+    numpy = reach_module._np
+    if request.param == "numpy" and numpy is None:
+        pytest.skip("numpy is not installed")
+    if request.param == "python":
+        reach_module._np = None
+    yield request.param
+    reach_module._np = numpy
+
+
+@pytest.mark.usefixtures("partition_walk")
 class TestIndexEqualsBfs:
     @prop_settings
     @given(recipe=_recipe)

@@ -3,7 +3,9 @@
 With four execution modes (dag/stack x serial/thread/process), two store
 temperatures (cold/warm), two store layouts (single-file/sharded, plus a
 ``migrate`` between them), streaming vs materialized extraction, two
-refresh paths (full/incremental) and order-independent planning, the
+refresh paths (full/incremental), three ingest front ends (HTTP
+``/extract``, ``repro stream`` and ``session.refresh``, fed poison) and
+order-independent planning, the
 cheapest way to trust them all is to prove they *agree*: every generated warehouse — classic templates plus the
 warehouse-DML surface (MERGE, ON CONFLICT upserts, QUALIFY, GROUPING
 SETS/ROLLUP/CUBE, unnest/generate_series) — must produce byte-identical
@@ -560,3 +562,93 @@ def test_serving_daemon_stream_equivalence(seed, tmp_path):
         f"{unresolved}"
     )
     _assert_equivalent(seed, warehouse, "serving", baseline, served)
+
+
+# ----------------------------------------------------------------------
+# the ingest front ends: HTTP /extract, `repro stream`, session.refresh
+# ----------------------------------------------------------------------
+def _front_end_inputs(seed):
+    """One statement sequence over the classic warehouse, with a
+    schema-preserving redefinition appended and a poison redefinition
+    inserted after the original it shadows; plus the catalog DDL."""
+    import random
+
+    warehouse = _classic_warehouse(seed)
+    rng = random.Random(seed * 5 + 1)
+    names = list(warehouse.views)
+    redefined, poisoned = rng.sample(names[: len(names) // 2], 2)
+    sequence = list(warehouse.views.items())
+    head, body = warehouse.views[redefined].split(" AS ", 1)
+    sequence.append((redefined, f"{head} AS SELECT v.* FROM ({body}) v"))
+    poison = (poisoned, f"CREATE VIEW {poisoned} AS SELEC 1")
+    sequence.insert(rng.randrange(len(sequence) // 2, len(sequence)), poison)
+    ddl = ";\n".join(
+        f"CREATE TABLE {table} ({', '.join(f'{column} INT' for column in columns)})"
+        for table, columns in warehouse.base_tables.items()
+    )
+    return warehouse, sequence, poison, ddl
+
+
+def _chunks(sequence, size=7):
+    """Consecutive ``{name: sql}`` batches; a repeated name starts a new one."""
+    chunks = [{}]
+    for name, sql in sequence:
+        if len(chunks[-1]) >= size or name in chunks[-1]:
+            chunks.append({})
+        chunks[-1][name] = sql
+    return chunks
+
+
+@pytest.mark.parametrize("seed", SEEDS[:1] if SMOKE else SEEDS[:3])
+def test_ingest_front_end_equivalence(seed, tmp_path):
+    """The same statements, poison included, through HTTP /extract and
+    ``repro stream`` must render the CSV that ``session.refresh`` renders
+    without the poison: one ingest core, one poison handling."""
+    import asyncio
+    import io
+    import json
+
+    from repro.catalog import catalog_from_sql
+    from repro.cli import run
+    from repro.output.registry import render
+    from repro.server import LineageApp
+    from repro.session import LineageSession
+
+    warehouse, sequence, poison, ddl = _front_end_inputs(seed)
+    chunks = _chunks(sequence)
+
+    session = LineageSession(catalog=catalog_from_sql(ddl))
+    for chunk in _chunks([item for item in sequence if item != poison]):
+        session.refresh(chunk)
+    expected = session.result.render("csv")
+
+    async def serve():
+        app = LineageApp(catalog=catalog_from_sql(ddl), batch_window=0.002)
+        host, port = await app.start(port=0)
+        try:
+            rows = []
+            for chunk in chunks:
+                rows.extend((await _post_extract(host, port, chunk))["statements"])
+            return render(app.snapshots.current().graph, "csv"), rows
+        finally:
+            await app.stop()
+
+    served, rows = asyncio.run(serve())
+    quarantined = [row["name"] for row in rows if row["status"] == "quarantined"]
+    assert quarantined == [poison[0]], f"seed={seed}: {quarantined}"
+    _assert_equivalent(seed, warehouse, "ingest-http", expected, served)
+
+    log = tmp_path / "q.jsonl"
+    log.write_text(
+        "".join(json.dumps({"name": name, "sql": sql}) + "\n" for name, sql in sequence)
+    )
+    catalog_file = tmp_path / "catalog.sql"
+    catalog_file.write_text(ddl)
+    out = io.StringIO()
+    code = run(
+        ["stream", str(log), "--quiet", "--format", "csv", "--batch-statements", "7",
+         "--catalog", str(catalog_file)],
+        stdout=out,
+    )
+    assert code == 0
+    _assert_equivalent(seed, warehouse, "ingest-stream", expected + "\n", out.getvalue())

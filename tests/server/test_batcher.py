@@ -6,10 +6,11 @@ import pytest
 
 from repro.core.lineage import LineageGraph
 from repro.output.registry import render
-from repro.server.batcher import ExtractionFailed, IngestBatcher, statement_hash
+from repro.server.batcher import ExtractionFailed, IngestBatcher
 from repro.server.journal import IngestJournal, JournalWriteError
 from repro.server.snapshot import SnapshotManager
 from repro.session import LineageSession
+from repro.sources import content_hash
 
 V1 = "CREATE VIEW v1 AS SELECT a, b FROM t1"
 V2 = "CREATE VIEW v2 AS SELECT a FROM v1"
@@ -33,8 +34,8 @@ async def _make():
 
 class TestStatementHash:
     def test_is_content_addressed(self):
-        assert statement_hash(V1) == statement_hash(V1)
-        assert statement_hash(V1) != statement_hash(V1 + " ")
+        assert content_hash(V1) == content_hash(V1)
+        assert content_hash(V1) != content_hash(V1 + " ")
 
 
 class TestDedupe:
@@ -310,9 +311,9 @@ class TestFailureDomain:
         with IngestJournal(tmp_path) as journal:
             journal.append_batch(
                 [
-                    ("v1", V1, statement_hash(V1)),
-                    ("v2", V2, statement_hash(V2)),
-                    ("v1", poison, statement_hash(poison)),
+                    ("v1", V1, content_hash(V1)),
+                    ("v2", V2, content_hash(V2)),
+                    ("v1", poison, content_hash(poison)),
                 ]
             )
 

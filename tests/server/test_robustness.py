@@ -8,7 +8,7 @@ import pytest
 from repro.core.lineage import LineageGraph
 from repro.server import LineageApp, OverloadedError
 from repro.server.batcher import IngestBatcher
-from repro.server.quarantine import Quarantine
+from repro.quarantine import Quarantine
 from repro.server.snapshot import SnapshotManager
 from repro.session import LineageSession
 from repro.testing import faults
@@ -202,11 +202,11 @@ class TestBatchSplitting:
         # exactly what makes chunked replay slow and key-mismatched — so
         # the split watchdog must not apply to journal replay / preload
         async def go():
-            from repro.server.batcher import statement_hash
+            from repro.sources import content_hash
 
             snapshots, batcher = await _make_batcher(max_batch_statements=2)
             entries = [
-                (index, f"q{index}", _view(index), statement_hash(_view(index)))
+                (index, f"q{index}", _view(index), content_hash(_view(index)))
                 for index in range(5)
             ]
             assert await batcher.replay(entries) == 5
@@ -344,10 +344,10 @@ class TestQuarantineSurface:
 
 
 def batcher_hash(mapping):
-    from repro.server.batcher import statement_hash
+    from repro.sources import content_hash
 
     (sql,) = mapping.values()
-    return statement_hash(sql)
+    return content_hash(sql)
 
 
 class TestQuarantineTable:

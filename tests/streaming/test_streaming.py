@@ -283,3 +283,61 @@ class TestSessionWiring:
         with LineageSession() as session:
             with pytest.raises(ValueError, match="file path"):
                 session.stream_log("{\"sql\": \"SELECT 1\"}\n")
+
+
+X_GOOD = "CREATE VIEW x AS SELECT id, v FROM base"
+X_POISON = "CREATE VIEW x AS SELEKT id FROM base"
+POISON_LOG = [
+    BASE,
+    entry("x", X_GOOD, 2),
+    entry("y", "CREATE VIEW y AS SELECT id FROM x", 3),
+    entry("x", X_POISON, 4),
+    entry("z", "CREATE VIEW z AS SELECT v FROM x", 5),
+    entry("w", "CREATE VIEW w AS SELECT id FROM base", 6),
+]
+
+
+def daemon_csv(lines):
+    """The graph a daemon fed ``lines`` one ``/extract`` batch each renders."""
+    import asyncio
+
+    from repro.output.registry import render
+    from repro.server import LineageApp
+
+    async def go():
+        app = LineageApp()
+        app.batcher.start()
+        try:
+            for line in lines:
+                await app.batcher.submit({line["name"]: line["sql"]})
+            return render(app.snapshots.current().graph, "csv")
+        finally:
+            await app.stop()
+
+    return asyncio.run(go())
+
+
+class TestPoisonLines:
+    @pytest.mark.parametrize("batch", [1, 2, 1000])
+    def test_resume_keeps_the_last_good_definition(self, tmp_path, batch):
+        log = tmp_path / "q.jsonl"
+        write_log(log, *POISON_LOG)
+        with LineageSession() as session:
+            stats = session.stream_log(str(log), batch_statements=batch).run()
+            uninterrupted = session.result.render("csv")
+            assert session.statements["x"] == X_GOOD
+        # the poison was quarantined once, the rest landed, the offset moved
+        assert stats["quarantined"] == 1
+        with open(default_offset_path(log), encoding="utf-8") as handle:
+            assert json.load(handle)["line_count"] == 6
+        # a fresh streamer replays the saved prefix as one batch: x's
+        # poison quarantines again and x falls back to its good definition
+        with LineageSession() as session:
+            streamer = session.stream_log(str(log))
+            stats = streamer.run()
+            assert stats["resumed_lines"] == 6
+            assert session.statements["x"] == X_GOOD
+            assert [row["name"] for row in streamer.quarantine.rows()] == ["x"]
+            resumed = session.result.render("csv")
+        assert resumed == uninterrupted
+        assert daemon_csv(POISON_LOG) == uninterrupted

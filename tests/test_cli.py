@@ -425,6 +425,49 @@ class TestStreamSubcommand:
         assert code == 0
         assert "v2" in json.loads(output)["relations"]
 
+    def test_stream_quarantines_poison_and_resumes(self, tmp_path, capsys):
+        # a poison line is quarantined with the error record /extract
+        # returns, the rest lands, and a resume over the same log neither
+        # crash-loops nor changes the graph
+        import asyncio
+
+        from repro.server import LineageApp
+
+        poison = "CREATE VIEW v2 AS SELEC a.id FROM a"
+        path = tmp_path / "log.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in [
+            {"name": "v1", "sql": "CREATE VIEW v1 AS SELECT a.id FROM a"},
+            {"name": "v2", "sql": poison},
+            {"name": "v3", "sql": "CREATE VIEW v3 AS SELECT v1.id FROM v1"},
+        ]))
+        code, first = run_cli("stream", str(path), "--format", "csv")
+        assert code == 0
+        assert first.split() == [
+            "source,target,kind", "a.id,v1.id,contribute", "v1.id,v3.id,contribute",
+        ]
+        (line,) = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("stream: quarantined v2 ")
+        ]
+        reported = json.loads(line.split("): ", 1)[1])
+
+        async def extract():
+            app = LineageApp()
+            app.batcher.start()
+            try:
+                return await app.batcher.submit({"v2": poison})
+            finally:
+                await app.stop()
+
+        (row,) = asyncio.run(extract())["statements"]
+        assert row["status"] == "quarantined"
+        assert reported == row["error"]
+
+        code, second = run_cli("stream", str(path), "--format", "csv")
+        assert code == 0
+        assert second == first
+        assert "stream: quarantined v2 " in capsys.readouterr().err
+
     def test_stream_missing_file_errors(self, tmp_path):
         code, _ = run_cli("stream", str(tmp_path / "absent.jsonl"), "--quiet")
         assert code == 2
