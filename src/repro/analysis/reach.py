@@ -30,11 +30,12 @@ structure to answer the same queries in O(answer size):
   from the snapshot without re-traversing.
 
 Indexes are immutable once built; a graph swaps in a fresh instance when
-its state token moves.  :meth:`ReachabilityIndex.refreshed` rebuilds
-incrementally for the append-only case (new relations reading existing
-ones — the serving daemon's steady state): new nodes get their own
-appended forest and old→new edges become exception entries, leaving the
-existing labelling untouched.  Anything else falls back to a full build.
+its state token moves.  :meth:`ReachabilityIndex.refreshed` patches the
+append-only case (new relations reading existing ones — the serving
+daemon's steady state) from the rows of the entries the graph's
+adjacency index reports as changed: new nodes get their own appended
+forest and old→new edges become exception entries, leaving the existing
+labelling untouched.  Anything else falls back to a full build.
 """
 
 from ..core.lineage import EDGE_BOTH, EDGE_CONTRIBUTE, EDGE_REFERENCE
@@ -286,6 +287,7 @@ def _grow_forest(pre, post, order, exceptions, roots, members, comp_of, out,
     hitting visited components become exceptions.  Mutates the arrays in
     place (callers pass fresh copies for copy-on-write refreshes)."""
     visited = set()
+    touched = []
     for root in roots:
         if root in visited:
             continue
@@ -312,6 +314,7 @@ def _grow_forest(pre, post, order, exceptions, roots, members, comp_of, out,
             post[comp] = len(order)
             stack.pop()
         for comp, targets in extra.items():
+            touched.append(comp)
             existing = exceptions[comp]
             if existing:
                 merged = list(existing)
@@ -324,10 +327,11 @@ def _grow_forest(pre, post, order, exceptions, roots, members, comp_of, out,
     # the interval already covers the target, and the closure walk scans
     # every slice member's exceptions anyway.  Dropping them turns DAG
     # forward/cross edges into free riders and keeps exception lists to
-    # the edges that genuinely escape the spanning tree.
-    for comp, extra in enumerate(exceptions):
-        if not extra:
-            continue
+    # the edges that genuinely escape the spanning tree.  Only the lists
+    # this growth extended can hold new redundancies: a refresh appends
+    # components after every existing interval, so older lists stay pruned.
+    for comp in touched:
+        extra = exceptions[comp]
         lo, hi = pre[comp], post[comp]
         kept = tuple(d for d in extra if not lo <= pre[d] < hi)
         if len(kept) != len(extra):
@@ -352,6 +356,7 @@ class ReachabilityIndex:
 
     __slots__ = (
         "revision",
+        "_graph_index",
         "_forward", "_reverse",
         "_names", "_ids",
         "_comp_of", "_members", "_cyclic",
@@ -360,8 +365,6 @@ class ReachabilityIndex:
         "_mixed_in",
         "_vector",
         "_cache",
-        "_table_names", "_table_forward", "_table_reverse",
-        "_view_names", "_base_names",
         "_table_cache",
     )
 
@@ -374,7 +377,8 @@ class ReachabilityIndex:
         index = graph._ensure_index()
         self = cls.__new__(cls)
         self.revision = 0
-        self._init_graph_views(graph)
+        self._graph_index = index
+        self._table_cache = {}
         forward, reverse = index.forward, index.reverse
         self._forward = forward
         self._reverse = reverse
@@ -456,19 +460,6 @@ class ReachabilityIndex:
             self._vectors(_UP)
         return self
 
-    def _init_graph_views(self, graph):
-        index = graph._ensure_index()
-        self._table_names = list(graph.relations)
-        self._table_forward = index.table_forward
-        self._table_reverse = index.table_reverse
-        views = []
-        bases = []
-        for name, entry in graph.relations.items():
-            (bases if entry.is_base_table else views).append(name)
-        self._view_names = views
-        self._base_names = bases
-        self._table_cache = {}
-
     @staticmethod
     def _purity(in_adjacency, ids, n):
         pure = [0] * n
@@ -486,47 +477,72 @@ class ReachabilityIndex:
         graph this index was built from: every old node kept its edges and
         kinds, gained edges (if any) point at brand-new nodes, and new
         nodes only point at new nodes.  That is the steady state of the
-        serving daemon (each batch adds views reading existing relations),
-        and the patch costs O(delta + compare) instead of a full rebuild.
-        Returns ``None`` whenever the delta is not append-only — the
-        caller falls back to :meth:`build`.
+        serving daemon (each batch adds views reading existing relations).
+        Only the rows of the entries that changed are compared: the graph's
+        adjacency index names them when it was patched from the one this
+        index labels, and its rows are shared copy-on-write, so no other
+        row can differ.  The check and the new labels cost O(delta); the
+        existing labelling is copied, not recomputed.  Returns ``None``
+        whenever the delta is not append-only — the caller falls back to
+        :meth:`build`.
         """
         index = graph._ensure_index()
+        previous = self._graph_index
+        if index is previous:
+            return self
+        old_records, new_records = previous.records, index.records
+        if index.base_records is old_records:
+            changed = index.changed
+        else:
+            changed = [
+                name for name, record in new_records.items()
+                if old_records.get(name) is not record
+            ]
+            changed.extend(name for name in old_records if name not in new_records)
         new_forward, new_reverse = index.forward, index.reverse
         old_forward = self._forward
         ids = self._ids
         names = self._names
         n_old = len(names)
 
+        # the forward rows the change can touch, and the nodes it adds
+        touched = {}
         new_ids = {}
         new_nodes = []
-        for source in (new_forward, new_reverse):
-            for node in source:
-                if node not in ids and node not in new_ids:
-                    new_ids[node] = n_old + len(new_nodes)
-                    new_nodes.append(node)
-
-        # every previously indexed out-edge set must survive
-        for node in old_forward:
-            if node not in new_forward:
-                return None
+        for name in changed:
+            old = old_records.get(name)
+            if old is not None:
+                for edge in old.edges:
+                    touched[edge.source] = None
+            record = new_records.get(name)
+            if record is None:
+                continue
+            for edge in record.edges:
+                touched[edge.source] = None
+                for node in (edge.source, edge.target):
+                    if node not in ids and node not in new_ids:
+                        new_ids[node] = n_old + len(new_nodes)
+                        new_nodes.append(node)
 
         gained = {}  # old node id -> added {target: kind}
-        for node, targets in new_forward.items():
+        for node in touched:
+            targets = new_forward.get(node)
             old_id = ids.get(node)
             if old_id is None:
                 # brand-new node: appending is only sound if it cannot
                 # reach back into the labelled region (no new→old edges,
                 # which could close cycles through old components)
-                for target in targets:
+                for target in targets or ():
                     if target in ids:
                         return None
                 continue
             old_targets = old_forward.get(node)
+            if targets is old_targets or targets == old_targets:
+                continue
+            if targets is None:
+                return None  # every previously indexed out-edge must survive
             if old_targets is None:
                 added = targets
-            elif targets == old_targets:
-                continue
             else:
                 if len(targets) < len(old_targets):
                     return None
@@ -546,10 +562,20 @@ class ReachabilityIndex:
 
         clone = ReachabilityIndex.__new__(ReachabilityIndex)
         clone.revision = self.revision + 1
-        clone._init_graph_views(graph)
+        clone._graph_index = index
+        clone._table_cache = {}
         clone._forward = new_forward
         clone._reverse = new_reverse
         clone._cache = {}
+        n_new = len(new_nodes)
+        if not n_new and not gained:
+            # identical edge set (rows rebuilt, content unchanged): the
+            # labelling, and the memos derived from it, carry over untouched
+            for slot in ("_names", "_ids", "_comp_of", "_members", "_cyclic",
+                         "_forests", "_pure", "_mixed_in", "_vector"):
+                setattr(clone, slot, getattr(self, slot))
+            return clone
+
         # scan groups carry over by copy: downstream in-edges of old nodes
         # are untouched by an append; upstream groups are dropped exactly
         # for the old nodes that gained out-edges (rebuilt lazily), and
@@ -563,22 +589,10 @@ class ReachabilityIndex:
         # re-derives in vectorised time
         clone._vector = {}
 
-        n_new = len(new_nodes)
         clone._names = names + new_nodes
         merged_ids = dict(ids)
         merged_ids.update(new_ids)
         clone._ids = merged_ids
-
-        if not n_new and not gained:
-            # identical edge set (dict objects rebuilt, content unchanged):
-            # the labelling carries over untouched
-            clone._comp_of = self._comp_of
-            clone._members = self._members
-            clone._cyclic = self._cyclic
-            clone._forests = self._forests
-            clone._pure = self._pure
-            clone._vector = self._vector  # same labelling, same positions
-            return clone
 
         n_total = n_old + n_new
         out_new = [()] * n_new
@@ -1183,9 +1197,10 @@ class ReachabilityIndex:
         cached = self._table_cache.get("order")
         if cached is None:
             from .ordering import _kahn_order
+            index = self._graph_index
             try:
                 cached = ("ok", _kahn_order(
-                    self._table_names, self._table_forward, self._table_reverse
+                    list(index.records), index.table_forward, index.table_reverse
                 ))
             except CyclicDependencyError as error:
                 cached = ("cycle", list(error.cycle))
@@ -1198,9 +1213,11 @@ class ReachabilityIndex:
     def terminal_views(self):
         cached = self._table_cache.get("terminal")
         if cached is None:
-            successors = self._table_forward
+            index = self._graph_index
+            successors = index.table_forward
             cached = sorted(
-                name for name in self._view_names if not successors.get(name)
+                name for name, record in index.records.items()
+                if not record.is_base and not successors.get(name)
             )
             self._table_cache["terminal"] = cached
         return cached
@@ -1208,9 +1225,11 @@ class ReachabilityIndex:
     def root_tables(self):
         cached = self._table_cache.get("roots")
         if cached is None:
-            successors = self._table_forward
+            index = self._graph_index
+            successors = index.table_forward
             cached = sorted(
-                name for name in self._base_names if successors.get(name)
+                name for name, record in index.records.items()
+                if record.is_base and successors.get(name)
             )
             self._table_cache["roots"] = cached
         return cached
@@ -1220,8 +1239,9 @@ class ReachabilityIndex:
         key = (table, direction)
         cached = self._table_cache.get(key)
         if cached is None:
+            index = self._graph_index
             adjacency = (
-                self._table_forward if direction == _DOWN else self._table_reverse
+                index.table_forward if direction == _DOWN else index.table_reverse
             )
             reached = set()
             frontier = [table]

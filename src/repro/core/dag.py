@@ -165,8 +165,18 @@ class DependencyDAG:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_query_dictionary(cls, query_dictionary):
-        """Build the DAG with one cheap AST walk per entry."""
+    def from_query_dictionary(cls, query_dictionary, previous=None, changed=()):
+        """Build the DAG with one cheap AST walk per entry.
+
+        With ``previous`` — the DAG of an earlier version of the dictionary
+        — only the identifiers in ``changed`` (added, replaced or removed
+        since) are walked: the result is ``previous`` with their rows, and
+        the rows of the relations they read, replaced copy-on-write; every
+        other row is shared.  DAGs are never edited once built, which is
+        what makes the sharing sound.
+        """
+        if previous is not None:
+            return previous._patched(query_dictionary, changed)
         dag = cls()
         dag.nodes = list(query_dictionary.identifiers())
         node_set = set(dag.nodes)
@@ -181,6 +191,65 @@ class DependencyDAG:
                 if name in node_set:
                     dag.dependencies[identifier].add(name)
                     dag.dependents[name].add(identifier)
+        return dag
+
+    def _patched(self, query_dictionary, changed):
+        """This DAG re-read for the ``changed`` identifiers (see
+        :meth:`from_query_dictionary`)."""
+        entries = query_dictionary.entries
+        dag = DependencyDAG()
+        dag.nodes = query_dictionary.identifiers()
+        dag.references = references = dict(self.references)
+        dag.readers = readers = dict(self.readers)
+        dag.dependencies = dependencies = dict(self.dependencies)
+        dag.dependents = dependents = dict(self.dependents)
+        copied = set()  # reader rows this patch already copied
+
+        def reader_row(name):
+            if name not in copied:
+                copied.add(name)
+                readers[name] = set(readers.get(name, ()))
+            return readers[name]
+
+        # nodes whose dependency row, and relations whose dependent row,
+        # may differ: the changed identifiers, and everything reading a
+        # relation that became (or stopped being) a node
+        stale_dependencies = set()
+        stale_dependents = set()
+        for identifier in changed:
+            entry = entries.get(identifier)
+            old = self.references.get(identifier, ())
+            new = statement_dependencies(entry) if entry is not None else set()
+            for name in old:
+                if name not in new:
+                    reader_row(name).discard(identifier)
+            for name in new:
+                if name not in old:
+                    reader_row(name).add(identifier)
+            stale_dependents.update(old)
+            stale_dependents.update(new)
+            was_node = identifier in self.dependencies
+            if entry is None:
+                references.pop(identifier, None)
+                dependencies.pop(identifier, None)
+                dependents.pop(identifier, None)
+            else:
+                references[identifier] = new
+                stale_dependencies.add(identifier)
+                stale_dependents.add(identifier)
+            if was_node != (entry is not None):
+                stale_dependencies.update(readers.get(identifier, ()))
+        for name in copied:
+            if not readers[name]:
+                del readers[name]
+        for identifier in stale_dependencies:
+            if identifier in entries:
+                dependencies[identifier] = {
+                    name for name in references[identifier] if name in entries
+                }
+        for name in stale_dependents:
+            if name in entries:
+                dependents[name] = set(readers.get(name, ()))
         return dag
 
     # ------------------------------------------------------------------

@@ -21,6 +21,7 @@ combined column-edge view used by the visualizer and the impact analysis.
 """
 
 import weakref
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .column_refs import ColumnName
@@ -46,6 +47,12 @@ class ColumnEdge:
     source: ColumnName
     target: ColumnName
     kind: str = EDGE_CONTRIBUTE
+
+
+#: What a graph index needs of one entry (see :meth:`TableLineage._record`):
+#: its edges in :meth:`TableLineage.edges` order, its sorted source tables,
+#: whether it is a base table, and its output column count.
+EntryRecord = namedtuple("EntryRecord", "edges sources is_base columns")
 
 
 @dataclass
@@ -88,18 +95,52 @@ class TableLineage:
                 self.__dict__["_observers"] = alive
 
     def _subscribe(self, graph):
-        """Register ``graph`` for mutation notifications (weakly, once)."""
+        """Register ``graph`` for mutation notifications (weakly, once).
+
+        References to graphs that no longer exist are dropped on the way,
+        so an entry spliced into a new graph on every refresh holds one
+        reference per live graph, not one per graph it ever joined.
+        """
         observers = self.__dict__.setdefault("_observers", [])
+        stale = False
         for ref in observers:
-            if ref() is graph:
+            target = ref()
+            if target is graph:
                 return
+            if target is None:
+                stale = True
+        if stale:
+            observers[:] = [ref for ref in observers if ref() is not None]
         observers.append(weakref.ref(graph))
+
+    def _record(self):
+        """This entry's :data:`EntryRecord`, cached per ``_version``.
+
+        A new record object is made only when the entry changed, so a graph
+        index tells unchanged entries apart by identity alone (see
+        :meth:`_GraphIndex.patched`).  This is sound only because entries
+        change through the ``add_*`` methods, which bump ``_version``; code
+        that assigns fields directly must do so before anything reads them.
+        """
+        cached = self.__dict__.get("_record_cache")
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
+        record = EntryRecord(
+            tuple(self._derive_edges()),
+            tuple(sorted(self.source_tables)),
+            self.is_base_table,
+            len(self.output_columns),
+        )
+        self.__dict__["_record_cache"] = (self._version, record)
+        return record
 
     def __getstate__(self):
         # weak observer references are neither picklable nor meaningful in
-        # another process; a worker-returned copy starts unsubscribed
+        # another process; a worker-returned copy starts unsubscribed (and
+        # re-derives its record on first use)
         state = dict(self.__dict__)
         state.pop("_observers", None)
+        state.pop("_record_cache", None)
         return state
 
     # ------------------------------------------------------------------
@@ -162,8 +203,12 @@ class TableLineage:
         column it feeds.  Reference edges connect a referenced source column
         to *every* output column (a change in the referenced column can alter
         which rows appear, affecting all outputs).  When a pair has both
-        kinds, a single edge of kind ``"both"`` is produced.
+        kinds, a single edge of kind ``"both"`` is produced.  Edges come in
+        sorted order and are derived once per version of the entry.
         """
+        yield from self._record().edges
+
+    def _derive_edges(self):
         edge_kinds = {}
         for column, sources in self.contributions.items():
             target = ColumnName.of(self.name, column)
@@ -266,44 +311,222 @@ class TableLineage:
         return entry
 
 
-class _GraphIndex:
-    """Cached adjacency structures derived from a :class:`LineageGraph`.
+_NO_RECORD = EntryRecord((), (), False, 0)
 
-    Built once per graph state (see ``LineageGraph._ensure_index``) and
-    shared by every traversal consumer: ``edges()``, ``table_edges()``,
-    ``neighbors()``, the impact analysis, and the dependency-ordering
-    reports.  All members are treated as immutable by consumers.
+#: positions in ``_GraphIndex.counts`` (what ``LineageGraph.stats`` reports)
+_COUNT_KEYS = (
+    "num_relations", "num_views", "num_base_tables", "num_view_columns",
+    "num_base_columns", "num_column_edges", "num_contribute_edges",
+    "num_reference_edges", "num_table_edges",
+)
+
+
+def _count(counts, record, sign):
+    """Add (``sign=1``) or take away (``-1``) one record's relation, column
+    and table-edge counts (its column edges are counted with its rows)."""
+    if record is _NO_RECORD:
+        return
+    counts[0] += sign
+    if record.is_base:
+        counts[2] += sign
+        counts[4] += sign * record.columns
+    else:
+        counts[1] += sign
+        counts[3] += sign * record.columns
+    counts[8] += sign * len(record.sources)
+
+
+def _patch_rows(table, dropped, gained):
+    """``table`` with the entries ``dropped`` (key -> [other]) taken out of
+    their rows and ``gained`` (key -> {other: kind}) put in.  Touched rows
+    are copies; every other row is shared, and so is ``table`` itself when
+    nothing is touched."""
+    if not dropped and not gained:
+        return table
+    if not table:
+        return gained  # a build from empty: the new rows are the table
+    table = dict(table)
+    for key, others in dropped.items():
+        row = dict(table[key])
+        for other in others:
+            row.pop(other, None)
+        row.update(gained.pop(key, ()))
+        if row:
+            table[key] = row
+        else:
+            del table[key]
+    for key, row in gained.items():
+        old = table.get(key)
+        table[key] = row if old is None else {**old, **row}
+    return table
+
+
+class _GraphIndex:
+    """Adjacency structures derived from a :class:`LineageGraph`'s entries.
+
+    Shared by every traversal consumer: ``edges()``, ``table_edges()``,
+    ``neighbors()``, the impact analysis, the dependency-ordering reports
+    and the reachability index.  An index is immutable once built.  The
+    index of the next graph state is this one :meth:`patched`: only the rows
+    of entries whose :data:`EntryRecord` changed are replaced, and every
+    other row is shared with this index (copy-on-write).  A full build is
+    the same patch applied to the empty index.
     """
 
     __slots__ = (
-        "edges",            # list[ColumnEdge], in the canonical iteration order
+        "records",          # relation name -> EntryRecord, in relation order
         "forward",          # ColumnName -> {ColumnName: kind} (source -> targets)
         "reverse",          # ColumnName -> {ColumnName: kind} (target -> sources)
-        "table_edges",      # list[(source_table, target_table)]
-        "table_forward",    # table -> [downstream tables]
-        "table_reverse",    # table -> [upstream tables]
+        "table_forward",    # table -> [downstream tables], in relation order
+        "table_reverse",    # table -> [upstream tables], sorted
+        "counts",           # tuple of the _COUNT_KEYS statistics
+        "base_records",     # the ``records`` this index was patched from
+        "changed",          # names whose record differs from base_records'
+        "_edges",           # list[ColumnEdge], built on first read
+        "_table_edges",     # list[(source_table, target_table)], likewise
     )
 
-    def __init__(self, relations):
-        self.edges = []
+    def __init__(self):
+        self.records = {}
         self.forward = {}
         self.reverse = {}
-        self.table_edges = []
         self.table_forward = {}
         self.table_reverse = {}
-        seen_table_edges = set()
-        for entry in relations.values():
-            for edge in entry.edges():
-                self.edges.append(edge)
-                self.forward.setdefault(edge.source, {})[edge.target] = edge.kind
-                self.reverse.setdefault(edge.target, {})[edge.source] = edge.kind
-            for source in sorted(entry.source_tables):
-                key = (source, entry.name)
-                if key not in seen_table_edges:
-                    seen_table_edges.add(key)
-                    self.table_edges.append(key)
-                    self.table_forward.setdefault(source, []).append(entry.name)
-                    self.table_reverse.setdefault(entry.name, []).append(source)
+        self.counts = (0,) * len(_COUNT_KEYS)
+        self.base_records = None
+        self.changed = ()
+        self._edges = None
+        self._table_edges = None
+
+    @property
+    def edges(self):
+        """Every column edge, entry by entry in relation order."""
+        edges = self._edges
+        if edges is None:
+            edges = self._edges = [
+                edge for record in self.records.values() for edge in record.edges
+            ]
+        return edges
+
+    @property
+    def table_edges(self):
+        """Every ``(source_table, target_table)`` pair, in relation order."""
+        pairs = self._table_edges
+        if pairs is None:
+            pairs = self._table_edges = [
+                (source, name)
+                for name, record in self.records.items()
+                for source in record.sources
+            ]
+        return pairs
+
+    def patched(self, relations):
+        """The index of ``relations``, derived from this one.
+
+        Entries whose record is the one this index holds (by identity) are
+        not looked at again.  For the others, the column rows their old and
+        new edges touch and the table rows their old and new sources touch
+        are copied and edited; all other rows are shared.  Readers in a
+        table row follow relation order, so a row is also re-sorted when one
+        of its readers moved relative to the others.  Returns ``self`` when
+        nothing changed.
+        """
+        base = self.records
+        records = {}
+        changed = []
+        added = 0
+        for name, entry in relations.items():
+            record = records[name] = entry._record()
+            old = base.get(name)
+            if old is not record:
+                changed.append(name)
+                added += old is None
+        if len(records) - added < len(base):
+            changed.extend(name for name in base if name not in records)
+
+        # table rows list readers in relation order; a reader whose sources
+        # are unchanged may still have moved relative to the others
+        position = {name: index for index, name in enumerate(records)}
+        moved = []
+        last = -1
+        for name, old in base.items():
+            record = records.get(name)
+            if not old.sources or record is None or (
+                record is not old and record.sources != old.sources
+            ):
+                continue  # in no row, or its rows are rebuilt below anyway
+            if position[name] > last:
+                last = position[name]
+            else:
+                moved.append(name)
+        if not changed and not moved:
+            return self
+
+        counts = list(self.counts)
+        dropped, gained = ({}, {}), ({}, {})  # (forward, reverse) row edits
+        dirty_rows = set()
+        readers_changed = {}  # name -> its new sources, in relation order
+        for name in changed:
+            old = base.get(name, _NO_RECORD)
+            record = records.get(name, _NO_RECORD)
+            _count(counts, old, -1)
+            _count(counts, record, 1)
+            if old.edges is not record.edges and old.edges != record.edges:
+                counts[5] += len(record.edges) - len(old.edges)
+                for edge in old.edges:
+                    counts[6] -= edge.kind != EDGE_REFERENCE
+                    counts[7] -= edge.kind != EDGE_CONTRIBUTE
+                    dropped[0].setdefault(edge.source, []).append(edge.target)
+                    dropped[1].setdefault(edge.target, []).append(edge.source)
+                for edge in record.edges:
+                    counts[6] += edge.kind != EDGE_REFERENCE
+                    counts[7] += edge.kind != EDGE_CONTRIBUTE
+                    gained[0].setdefault(edge.source, {})[edge.target] = edge.kind
+                    gained[1].setdefault(edge.target, {})[edge.source] = edge.kind
+            if old.sources != record.sources:
+                readers_changed[name] = record.sources
+                dirty_rows.update(old.sources)
+                dirty_rows.update(record.sources)
+        for name in moved:
+            dirty_rows.update(records[name].sources)
+
+        table_forward, table_reverse = self.table_forward, self.table_reverse
+        if dirty_rows:
+            table_forward, table_reverse = dict(table_forward), dict(table_reverse)
+            arriving = {}
+            for name, sources in readers_changed.items():
+                for source in sources:
+                    arriving.setdefault(source, []).append(name)
+                if sources:
+                    table_reverse[name] = list(sources)
+                else:
+                    table_reverse.pop(name, None)
+            for source in dirty_rows:
+                row = [
+                    reader for reader in self.table_forward.get(source, ())
+                    if reader not in readers_changed
+                ]
+                row.extend(arriving.get(source, ()))
+                if row:
+                    row.sort(key=position.__getitem__)
+                    table_forward[source] = row
+                else:
+                    table_forward.pop(source, None)
+
+        index = _GraphIndex()
+        index.records = records
+        index.forward = _patch_rows(self.forward, dropped[0], gained[0])
+        index.reverse = _patch_rows(self.reverse, dropped[1], gained[1])
+        index.table_forward = table_forward
+        index.table_reverse = table_reverse
+        index.counts = tuple(counts)
+        index.base_records = base
+        index.changed = changed
+        return index
+
+
+#: the index of a graph with no entries: the base of every full build
+_EMPTY_INDEX = _GraphIndex()
 
 
 class LineageGraph:
@@ -314,9 +537,10 @@ class LineageGraph:
     the first traversal and invalidated automatically on mutation — both
     structural mutation (:meth:`add`, :meth:`ensure_base_table`) and
     in-place mutation of an already-added :class:`TableLineage` (tracked
-    through its ``_version`` counter).  Hot-path consumers (``edges()``,
-    ``neighbors()``, the impact analysis, dependency ordering) therefore
-    never re-derive the edge set per call.
+    through its ``_version`` counter) — after which the next traversal
+    patches it for the entries that changed.  Hot-path consumers
+    (``edges()``, ``neighbors()``, the impact analysis, dependency
+    ordering) therefore never re-derive the edge set per call.
     """
 
     def __init__(self):
@@ -346,7 +570,8 @@ class LineageGraph:
     def _ensure_index(self):
         token = self._state_token()
         if self._index is None or self._index_token != token:
-            self._index = _GraphIndex(self.relations)
+            # a stale index is still a valid base: it is never edited in place
+            self._index = (self._index or _EMPTY_INDEX).patched(self.relations)
             self._index_token = token
         return self._index
 
@@ -480,7 +705,7 @@ class LineageGraph:
 
         ``{ColumnName: {ColumnName: kind}}`` — the traversal substrate used
         by :mod:`repro.analysis.impact`.  Treat as read-only: it is a shared
-        cache, rebuilt only when the graph mutates.
+        cache, and its rows are shared with other versions of the graph.
         """
         index = self._ensure_index()
         if direction == "downstream":
@@ -585,25 +810,12 @@ class LineageGraph:
         return restricted
 
     def stats(self):
-        """Summary statistics used by the benchmarks and the README."""
-        views = self.views
-        base_tables = self.base_tables
-        edges = list(self.edges())
-        return {
-            "num_relations": len(self.relations),
-            "num_views": len(views),
-            "num_base_tables": len(base_tables),
-            "num_view_columns": sum(len(v.output_columns) for v in views),
-            "num_base_columns": sum(len(t.output_columns) for t in base_tables),
-            "num_column_edges": len(edges),
-            "num_contribute_edges": sum(
-                1 for e in edges if e.kind in (EDGE_CONTRIBUTE, EDGE_BOTH)
-            ),
-            "num_reference_edges": sum(
-                1 for e in edges if e.kind in (EDGE_REFERENCE, EDGE_BOTH)
-            ),
-            "num_table_edges": len(list(self.table_edges())),
-        }
+        """Summary statistics used by the benchmarks and the README.
+
+        The counts live in the adjacency index, which keeps them up to date
+        as it is patched, so this is O(1) once the index exists.
+        """
+        return dict(zip(_COUNT_KEYS, self._ensure_index().counts))
 
     # ------------------------------------------------------------------
     # Freezing (lock-free concurrent readers)
@@ -617,10 +829,12 @@ class LineageGraph:
         readers therefore never trigger (or race) a lazy rebuild, which is
         what makes a published snapshot safe to traverse from many threads
         without any locking.  ``reach_seed`` may pass the previous
-        generation's :class:`~repro.analysis.reach.ReachabilityIndex`;
-        when this graph is an append-only successor (the serving daemon's
-        batch-ingest steady state) the new index is patched from the seed
-        instead of rebuilt.
+        generation's :class:`~repro.analysis.reach.ReachabilityIndex`:
+        the adjacency index is then patched from the one the seed labels,
+        re-deriving only the entries this graph does not share with that
+        generation, and when this graph is an append-only successor (the
+        serving daemon's batch-ingest steady state) the reachability index
+        is patched from the seed as well instead of rebuilt.
         """
         return FrozenLineageGraph(self, reach_seed=reach_seed)
 
@@ -658,7 +872,11 @@ class FrozenLineageGraph(LineageGraph):
         if graph._index is not None and graph._index_token == token:
             self._index = graph._index
         else:
-            self._index = _GraphIndex(self.relations)
+            # patch the previous generation's index: only the entries this
+            # graph does not share with it are looked at again
+            base = reach_seed._graph_index if reach_seed is not None else None
+            base = base or graph._index or _EMPTY_INDEX
+            self._index = base.patched(self.relations)
         self._index_token = 0
         reach = None
         if graph._reach is not None and graph._reach_token == token:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from .dag import DependencyDAG
 from .errors import LineageRecordError
 from .extractor import EXTRACTOR_VERSION
-from .lineage import LineageGraph
+from .lineage import LineageGraph, TableLineage
 from .preprocess import QueryDictionary, preprocess
 from .scheduler import AutoInferenceScheduler
 from ..catalog.catalog import Catalog
@@ -49,6 +49,9 @@ class LineageXResult:
     #: the runner that produced this result (lets :meth:`update` re-run
     #: incrementally with identical configuration).
     runner: object = None
+    #: the :class:`~repro.core.dag.DependencyDAG` of ``query_dictionary``
+    #: (when the run planned one); the next incremental run patches it.
+    dag: object = field(default=None, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     def stats(self):
@@ -327,7 +330,9 @@ class LineageXRunner:
             if prev_hashes.get(identifier) != value
         }
         removed = set(prev_hashes) - set(hashes)
-        dag = DependencyDAG.from_query_dictionary(query_dictionary)
+        dag = DependencyDAG.from_query_dictionary(
+            query_dictionary, previous=prev_result.dag, changed=changed | removed
+        )
         dirty = changed | (
             dag.transitive_dependents(changed | removed | ddl_changed) & set(hashes)
         )
@@ -342,7 +347,10 @@ class LineageXRunner:
                 # the previous run); re-extract it.
                 continue
             seed_results[identifier] = cached
-        return self._run_scheduler(query_dictionary, seed_results=seed_results, dag=dag)
+        return self._run_scheduler(
+            query_dictionary, seed_results=seed_results, dag=dag,
+            previous=prev_result, schema_changed=ddl_changed,
+        )
 
     def _merge_query_dictionary(self, prev_dictionary, changed_sources):
         """Apply ``changed_sources`` to a copy of ``prev_dictionary``.
@@ -469,7 +477,8 @@ class LineageXRunner:
         return merged, ddl_changed
 
     # ------------------------------------------------------------------
-    def _run_scheduler(self, query_dictionary, seed_results=None, dag=None):
+    def _run_scheduler(self, query_dictionary, seed_results=None, dag=None,
+                       previous=None, schema_changed=()):
         catalog = self._build_catalog(query_dictionary)
         seed_origins = {identifier: "memory" for identifier in (seed_results or ())}
         store = self._usable_store()
@@ -502,10 +511,10 @@ class LineageXRunner:
             shard_router=shard_router,
         )
         graph, report = scheduler.run()
-        self._attach_base_tables(graph, catalog)
+        self._attach_base_tables(graph, catalog, previous, schema_changed)
         if store is not None:
             self._persist_results(store, query_dictionary, catalog, scheduler, report)
-        return LineageXResult(
+        result = LineageXResult(
             graph=graph,
             query_dictionary=query_dictionary,
             catalog=catalog,
@@ -517,6 +526,8 @@ class LineageXRunner:
             },
             runner=self,
         )
+        result.dag = scheduler.dag
+        return result
 
     # ------------------------------------------------------------------
     # Persistent-store splicing
@@ -566,7 +577,6 @@ class LineageXRunner:
         miss (changed content, schema drift, version bump) conservatively
         re-extracts every dependent whose resolved schemas it feeds.
         """
-        resolved = {}  # relation -> output columns known before extraction
         store.prime(
             entry.content_hash
             for identifier, entry in query_dictionary.items()
@@ -574,9 +584,11 @@ class LineageXRunner:
         )
 
         def lookup(name):
-            columns = resolved.get(name)
-            if columns is not None:
-                return columns
+            # seeds (memory splices and earlier store hits) are known
+            # before extraction; a dependency always sits in an earlier wave
+            seeded = seed_results.get(name)
+            if seeded is not None:
+                return list(seeded.output_columns)
             table = catalog.get(name) if catalog is not None else None
             if table is not None:
                 return table.column_names()
@@ -588,12 +600,10 @@ class LineageXRunner:
         waves, deferred = dag.waves()
         unresolvable = set(deferred)
         for identifier in (name for wave in waves for name in wave):
+            if identifier in seed_results:
+                continue
             entry = query_dictionary.get(identifier)
             if entry is None:
-                continue
-            seeded = seed_results.get(identifier)
-            if seeded is not None:
-                resolved[identifier] = list(seeded.output_columns)
                 continue
             # a dependency that is itself a pending Query Dictionary entry
             # makes the key incomputable before extraction -> cold path
@@ -608,7 +618,6 @@ class LineageXRunner:
                 continue
             seed_results[identifier] = cached
             seed_origins[identifier] = "store"
-            resolved[identifier] = list(cached.output_columns)
 
     def _record_key(self, entry, catalog, lookup):
         from ..store import make_key, schema_fingerprint
@@ -685,39 +694,90 @@ class LineageXRunner:
         return merged
 
     @staticmethod
-    def _attach_base_tables(graph, catalog):
+    def _attach_base_tables(graph, catalog, previous=None, schema_changed=()):
         """Create base-table nodes for every relation that is only read.
 
         Column sets come from the catalog when available and are otherwise
         accumulated from usage (every contribution or reference that points
         at the relation), which is how Example 1's ``web`` node obtains its
         ``cid``/``date``/``page``/``reg`` columns without any metadata.
+        Base tables follow the views in name order, with their usage
+        columns sorted (so the result does not depend on the order the
+        graph was assembled in), then any further catalog columns.
+
+        With ``previous`` (the result an incremental run started from),
+        only the base tables whose readers changed, or whose schema did
+        (``schema_changed`` names the relations whose DDL changed), are
+        derived again; the others are spliced from ``previous`` by
+        reference.  A reader's column sources always lie in its
+        ``source_tables``, so the readers of a base table are found
+        without walking every entry's lineage.
         """
-        used_columns = set()
-        for lineage in list(graph):
-            for sources in lineage.contributions.values():
-                used_columns.update(sources)
-            used_columns.update(lineage.referenced)
-        view_names = {lineage.name for lineage in graph.views}
-        # sorted so the accumulated column order of catalog-less base tables
-        # is identical however the graph was assembled (a warm-spliced run
-        # iterates relations in a different order than a cold one); the
-        # explicit key avoids a rich-comparison call per element pair
-        for column_name in sorted(
-            used_columns, key=lambda c: (c.table, c.column)
-        ):
-            if column_name.table in view_names:
+        views = graph.relations  # only views so far
+        affected, spliced = None, {}
+        if previous is not None:
+            affected, spliced = _base_table_delta(
+                views, previous, catalog, schema_changed
+            )
+        used = {}  # base table -> the column names read from it
+        for entry in list(views.values()):
+            if affected is not None and affected.isdisjoint(entry.source_tables):
                 continue
-            if column_name.column == "*":
-                graph.ensure_base_table(column_name.table)
-                continue
-            graph.register_usage(column_name)
-        # add full catalog schemas for base tables that were touched
-        for entry in graph.base_tables:
-            table = catalog.get(entry.name) if catalog is not None else None
-            if table is not None:
-                for column in table.column_names():
+            for sources in (*entry.contributions.values(), entry.referenced):
+                for source in sources:
+                    table = source.table
+                    if table in views or (affected is not None and table not in affected):
+                        continue
+                    used.setdefault(table, set()).add(source.column)
+        for name in sorted(used.keys() | spliced.keys()):
+            entry = spliced.get(name)
+            if entry is None:
+                entry = TableLineage(name=name, is_base_table=True)
+                for column in sorted(used[name] - {"*"}):
                     entry.add_output_column(column)
+                table = catalog.get(name) if catalog is not None else None
+                if table is not None:
+                    for column in table.column_names():
+                        entry.add_output_column(column)
+            graph.add(entry)
+
+
+def _base_table_delta(views, previous, catalog, schema_changed):
+    """``(affected, spliced)`` for an incremental base-table pass.
+
+    ``affected`` holds every relation whose base-table node may differ
+    from ``previous``'s: the names and source tables of the views that
+    were added, replaced or removed, plus the relations whose schema
+    changed.  ``spliced`` maps each other base table of ``previous`` to its
+    entry, reused as is.
+    """
+    before = previous.graph.relations
+    affected = set(schema_changed)
+    bases = []
+    for name, entry in before.items():
+        if entry.is_base_table:
+            bases.append(name)
+        elif views.get(name) is not entry:
+            affected.add(name)
+            affected.update(entry.source_tables)
+    for name, entry in views.items():
+        if before.get(name) is not entry:
+            affected.add(name)
+            affected.update(entry.source_tables)
+    old_catalog = previous.catalog
+    spliced = {}
+    for name in bases:
+        if name in affected:
+            continue
+        table = catalog.get(name) if catalog is not None else None
+        old = old_catalog.get(name) if old_catalog is not None else None
+        if table is not old and (
+            table is None or old is None or table.column_names() != old.column_names()
+        ):
+            affected.add(name)
+            continue
+        spliced[name] = before[name]
+    return affected, spliced
 
 
 def lineagex(

@@ -190,28 +190,34 @@ class _SchedulerProvider(SchemaProvider):
     """
 
     def __init__(self, scheduler, current=None):
-        self.scheduler = scheduler
+        # the scheduler's state, not the scheduler: it owns this provider,
+        # and a reference back would make every run (its results, DAG and
+        # schema memo) cyclic garbage that only a full collection frees
+        self.results = scheduler.results
+        self.schema_cache = scheduler.schema_cache
+        self.pending = scheduler.pending
+        self.use_stack = scheduler.use_stack
+        self.catalog = scheduler.catalog
         self.current = current
 
     def get_columns(self, name):
         name = normalize_name(name)
-        scheduler = self.scheduler
-        lineage = scheduler.results.get(name)
+        lineage = self.results.get(name)
         if lineage is not None:
             # memoized across statements within the run; the cached list is
             # stamped with the TableLineage version token so a (never
             # expected) post-record mutation invalidates instead of serving
             # stale columns.  Wide schemas referenced by many statements
             # stop rebuilding their column list per reference.
-            cached = scheduler.schema_cache.get(name)
+            cached = self.schema_cache.get(name)
             if cached is not None and cached[0] == lineage._version:
                 return list(cached[1])
             columns = list(lineage.output_columns)
-            scheduler.schema_cache[name] = (lineage._version, columns)
+            self.schema_cache[name] = (lineage._version, columns)
             return list(columns)
         if (
-            scheduler.use_stack
-            and name in scheduler.pending
+            self.use_stack
+            and name in self.pending
             and name != self.current
         ):
             # A pending Query Dictionary entry shadows any same-named
@@ -223,17 +229,17 @@ class _SchedulerProvider(SchemaProvider):
             raise UnknownRelationError(
                 name, reason="defined by a not-yet-processed query"
             )
-        if scheduler.catalog is not None:
+        if self.catalog is not None:
             # the catalog is frozen for the duration of a run (it is built
             # before scheduling and only merged/extended between runs), so
             # its column lists memoize under a version-less token
-            cached = scheduler.schema_cache.get(name)
+            cached = self.schema_cache.get(name)
             if cached is not None and cached[0] is None:
                 return list(cached[1])
-            table = scheduler.catalog.get(name)
+            table = self.catalog.get(name)
             if table is not None:
                 columns = table.column_names()
-                scheduler.schema_cache[name] = (None, list(columns))
+                self.schema_cache[name] = (None, list(columns))
                 return columns
         return None
 

@@ -451,7 +451,7 @@ class IngestBatcher:
         if result is None or result is self._published:
             return failed, result, None
         snapshot = self._snapshots.prepare(
-            result.graph, statement_names=sorted(self._session.statements)
+            result.graph, statement_names=self._session.statements
         )
         return failed, result, snapshot
 

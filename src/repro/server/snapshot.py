@@ -21,23 +21,44 @@ import time
 
 
 class Snapshot:
-    """One immutable published generation of the lineage graph."""
+    """One immutable published generation of the lineage graph.
 
-    __slots__ = ("version", "graph", "stats", "published_at", "statement_names")
+    ``stats`` and the sorted ``statement_names`` are derived on first
+    read: publishing only copies the names.
+    """
+
+    __slots__ = ("version", "graph", "published_at", "_stats", "_names", "_sorted")
 
     def __init__(self, version, graph, statement_names=()):
         self.version = version
         self.graph = graph
-        self.stats = graph.stats()
         self.published_at = time.time()
-        self.statement_names = tuple(statement_names)
+        self._stats = None
+        self._names = tuple(statement_names)
+        self._sorted = None
+
+    @property
+    def stats(self):
+        """The graph's summary statistics (``LineageGraph.stats``)."""
+        stats = self._stats
+        if stats is None:
+            stats = self._stats = self.graph.stats()
+        return stats
+
+    @property
+    def statement_names(self):
+        """The applied statement names, sorted, as a tuple."""
+        names = self._sorted
+        if names is None:
+            names = self._sorted = tuple(sorted(self._names))
+        return names
 
     def describe(self):
         """A JSON-friendly summary (served by ``/stats`` and ``/health``)."""
         return {
             "version": self.version,
             "published_at": self.published_at,
-            "statements": len(self.statement_names),
+            "statements": len(self._names),
             "graph": dict(self.stats),
         }
 
@@ -58,15 +79,16 @@ class SnapshotManager:
         """Freeze ``graph`` into the next generation WITHOUT publishing.
 
         The freeze copies the relation map and eagerly builds the
-        adjacency *and reachability* indexes — real CPU work on a large
-        graph — so the ingest loop calls this from its worker thread and
-        only does the cheap :meth:`install` swap on the event loop.  Safe
-        off-thread because the single ingest loop is the only generation
-        producer: nobody else can move ``version`` between prepare and
-        install.  The previous generation's reachability index seeds the
-        new one: batch ingest grows the graph append-only, so the freeze
-        usually patches labels for just the new relations instead of
-        re-labelling the whole graph.
+        adjacency *and reachability* indexes, so the ingest loop calls this
+        from its worker thread and only does the cheap :meth:`install` swap
+        on the event loop.  Safe off-thread because the single ingest loop
+        is the only generation producer: nobody else can move ``version``
+        between prepare and install.  The previous generation seeds the
+        new one: the adjacency index is patched for just the entries the
+        batch changed (every other row is shared with the previous
+        generation), and because batch ingest grows the graph append-only,
+        the reachability labels are usually patched for just the new
+        relations instead of re-labelling the whole graph.
         """
         previous = self._current.graph.reachability(build=False)
         frozen = graph.freeze(reach_seed=previous)

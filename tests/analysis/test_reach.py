@@ -209,6 +209,82 @@ class TestIncrementalRefresh:
         _assert_index_matches_bfs(frozen_2, frozen_2)
 
 
+def _entry(name, plan, is_base=False):
+    """One relation ``name`` (columns c0..c2) with the edges of ``plan``."""
+    entry = TableLineage(name=name, is_base_table=is_base)
+    for c in range(3):
+        entry.add_output_column(f"c{c}")
+    for source_table, source_column, target_column, is_reference in plan:
+        source = ColumnName.of(f"t{source_table}", f"c{source_column}")
+        if is_reference:
+            entry.add_reference(source)
+        else:
+            entry.add_contribution(f"c{target_column}", source)
+    return entry
+
+
+_patch_step = st.one_of(
+    # add, or replace with a new entry object (same or different edges)
+    st.tuples(st.just("put"), st.integers(0, 7), st.lists(_edge, max_size=4),
+              st.booleans()),
+    st.tuples(st.just("remove"), st.integers(0, 7)),
+    # re-insert at the end: readers move relative to one another
+    st.tuples(st.just("move"), st.integers(0, 7)),
+    # edit the shared entry in place after the previous snapshot froze
+    st.tuples(st.just("mutate"), st.integers(0, 7), _edge),
+)
+
+
+def _index_state(index):
+    return (
+        index.records, index.forward, index.reverse,
+        index.table_forward, index.table_reverse, index.counts,
+        index.edges, index.table_edges,
+    )
+
+
+@pytest.mark.usefixtures("partition_walk")
+class TestIndexPatch:
+    """Every snapshot's adjacency index is the previous one patched; over
+    random add, replace, remove, move and in-place edit sequences the chain
+    of patches must equal the build from empty, and the reachability index
+    patched along with it must answer like BFS."""
+
+    @prop_settings
+    @given(steps=st.lists(_patch_step, min_size=1, max_size=8))
+    def test_patch_chain_equals_build_from_empty(self, steps):
+        from repro.core.lineage import _EMPTY_INDEX
+
+        current = {}
+        previous = None
+        for step in steps:
+            name = f"t{step[1]}"
+            if step[0] == "put":
+                current[name] = _entry(name, step[2], is_base=step[3])
+            elif step[0] == "remove":
+                current.pop(name, None)
+            elif step[0] == "move" and name in current:
+                current[name] = current.pop(name)
+            elif step[0] == "mutate" and name in current:
+                source_table, source_column, target_column, is_reference = step[2]
+                source = ColumnName.of(f"t{source_table}", f"c{source_column}")
+                if is_reference:
+                    current[name].add_reference(source)
+                else:
+                    current[name].add_contribution(f"c{target_column}", source)
+            graph = LineageGraph()
+            for entry in current.values():
+                graph.add(entry)
+            seed = previous.reachability() if previous is not None else None
+            frozen = graph.freeze(reach_seed=seed)
+            assert _index_state(frozen._ensure_index()) == _index_state(
+                _EMPTY_INDEX.patched(dict(current))
+            )
+            assert frozen.stats()["num_column_edges"] == len(list(frozen.edges()))
+            _assert_index_matches_bfs(frozen, frozen)
+            previous = frozen
+
+
 class TestFrozenPinning:
     def test_frozen_results_survive_source_mutation(self):
         graph = LineageGraph()

@@ -652,3 +652,148 @@ def test_ingest_front_end_equivalence(seed, tmp_path):
     )
     assert code == 0
     _assert_equivalent(seed, warehouse, "ingest-stream", expected + "\n", out.getvalue())
+
+
+# ----------------------------------------------------------------------
+# publish patched vs rebuilt: every snapshot equals a from-scratch freeze
+# ----------------------------------------------------------------------
+def _rebuilt(graph):
+    """A frozen graph over ``graph``'s entries, in its order, indexed from
+    scratch: no index or reachability seed is carried over."""
+    from repro.core.lineage import FrozenLineageGraph, LineageGraph
+
+    live = LineageGraph()
+    for entry in graph.relations.values():
+        live.add(entry)
+    return FrozenLineageGraph(live)
+
+
+def _rows_text(adjacency):
+    return "\n".join(
+        f"{node}\t" + ",".join(f"{other}:{kind}" for other, kind in sorted(row.items()))
+        for node, row in sorted(adjacency.items())
+    )
+
+
+def _publish_signature(graph, columns):
+    """Everything a reader of a snapshot can observe, as one text blob:
+    adjacency rows, table lists in order, edge orders, stats, creation
+    order, every registered rendering, and impact answers by index and
+    by BFS for ``columns``."""
+    from repro.analysis.impact import impact_analysis
+    from repro.analysis.ordering import creation_order
+    from repro.output.registry import render, renderer_names
+
+    parts = [
+        _rows_text(graph.column_adjacency("downstream")),
+        _rows_text(graph.column_adjacency("upstream")),
+        repr(sorted(graph.table_successors().items())),
+        repr(sorted(graph.table_predecessors().items())),
+        "\n".join(f"{e.source}\t{e.target}\t{e.kind}" for e in graph.edges()),
+        repr(list(graph.table_edges())),
+        repr(sorted(graph.stats().items())),
+        repr(creation_order(graph)),
+    ]
+    parts.extend(f"=== {fmt} ===\n" + render(graph, fmt) for fmt in renderer_names())
+    for column in columns:
+        for direction in ("downstream", "upstream"):
+            for method in ("auto", "bfs"):
+                rows = impact_analysis(graph, column, direction=direction, method=method)
+                parts.append(f"{column}\t{direction}\t{method}\t{rows.to_rows()}")
+    return "\n".join(parts)
+
+
+def _publish_deltas(warehouse, graph, seed):
+    """One-batch deltas over the corpus ``graph`` covering every publish
+    shape: appends (one batch with a new view read by another new view
+    listed first), schema-preserving and schema-changing redefinitions of
+    views with readers, a removal and the re-add of the removed view, and a
+    poison statement next to an append."""
+    import random
+
+    rng = random.Random(seed * 7 + 5)
+    names = list(warehouse.views)
+    relations = sorted(graph.relations)
+    successors = graph.table_successors()
+    preserving, changing, removed = rng.sample(
+        [name for name in names if successors.get(name)], 3
+    )
+
+    def rewrap(name, extra=""):
+        head, body = warehouse.views[name].split(" AS ", 1)
+        return f"{head} AS SELECT v.*{extra} FROM ({body}) v"
+
+    def append(index):
+        relation = rng.choice(relations)
+        column = rng.choice(graph.columns_of(relation))
+        return f"CREATE VIEW pvr_{index} AS SELECT s.{column} AS appended FROM {relation} s"
+
+    return [
+        {"pvr_0": append(0)},
+        {
+            "pvr_2": "CREATE VIEW pvr_2 AS SELECT s.appended FROM pvr_1 s",
+            "pvr_1": append(1),
+        },
+        {preserving: rewrap(preserving)},
+        {changing: rewrap(changing, ", 1 AS pvr_extra")},
+        {removed: None},
+        {"pvr_3": append(3), names[0]: f"CREATE VIEW {names[0]} AS SELEC 1"},
+        {removed: warehouse.views[removed]},
+        {"pvr_1": None},
+    ]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_publish_patched_vs_rebuilt_equivalence(seed):
+    """Each snapshot the daemon publishes patches the previous one's
+    indexes; it must be indistinguishable from indexing the same graph from
+    scratch, batch after batch: appends, redefinitions that keep or change
+    a schema, removals, a re-add and a poison statement."""
+    import asyncio
+    import random
+
+    from repro.core.column_refs import ColumnName
+    from repro.server import LineageApp
+
+    warehouse = _classic_warehouse(seed)
+    rng = random.Random(seed)
+
+    def check(snapshot, batch, step):
+        graph = snapshot.graph
+        rebuilt = _rebuilt(graph)
+        columns = sorted(
+            set(rng.sample(sorted(graph.column_adjacency("downstream")), 20))
+            | {
+                ColumnName.of(name, column)
+                for name in batch if name in graph
+                for column in graph.columns_of(name)
+            }
+        )
+        _assert_equivalent(
+            seed, warehouse, f"publish-patched-{step}",
+            _publish_signature(rebuilt, columns), _publish_signature(graph, columns),
+        )
+
+    async def publish():
+        app = LineageApp(catalog=warehouse.catalog(), batch_window=0.002)
+        app.batcher.start()
+        try:
+            await app.batcher.submit(dict(warehouse.views))
+            boot = app.snapshots.current()
+            check(boot, warehouse.views, "boot")
+            quarantined = []
+            for step, batch in enumerate(_publish_deltas(warehouse, boot.graph, seed)):
+                before = app.snapshots.version
+                response = await app.batcher.submit(batch)
+                quarantined += [
+                    row["name"] for row in response["statements"]
+                    if row["status"] == "quarantined"
+                ]
+                assert app.snapshots.version == before + 1, f"seed={seed}: step {step}"
+                check(app.snapshots.current(), batch, step)
+            return quarantined
+        finally:
+            await app.stop()
+
+    quarantined = asyncio.run(publish())
+    assert quarantined == [list(warehouse.views)[0]], f"seed={seed}: {quarantined}"
