@@ -283,6 +283,8 @@ def _stream_report(workdir):
     )
 
     # -- SIGKILL mid-stream, resume from the offset --------------------
+    from repro.streaming import load_offset
+
     kill_offset = os.path.join(workdir, "kill.offset.json")
     throttled = _spawn({
         "mode": "stream", "log": log, "batch": max(BATCH // 10, 100),
@@ -293,11 +295,7 @@ def _stream_report(workdir):
     killed_at = None
     deadline = time.monotonic() + 120
     while time.monotonic() < deadline:
-        try:
-            with open(kill_offset, "r", encoding="utf-8") as handle:
-                position = json.load(handle)
-        except (OSError, ValueError):
-            position = None
+        position = load_offset(kill_offset)
         if position and position["byte_offset"] >= kill_target:
             throttled.send_signal(signal.SIGKILL)
             killed_at = position

@@ -20,11 +20,12 @@ On-disk layout (inside ``--journal-dir``):
   CRC/JSON check and is discarded at replay — by construction only the
   tail of the newest segment can be torn, because entries before it were
   fsync'd.
-* ``checkpoint.json`` — ``{"applied": offset}``, rewritten atomically
-  (tmp + fsync + rename) after each snapshot publish.  Entries at or
-  below the checkpoint were *published* before the crash; entries above
-  it are the unapplied suffix.  Replay runs the whole journal (the graph
-  is memory-only), but the checkpoint is what compaction and the
+* ``checkpoint.json`` — a durable cursor (:mod:`repro.cursor`) whose
+  newest record is ``{"applied": offset}``: one CRC'd line appended and
+  fsync'd after each snapshot publish.  Entries at or below the
+  checkpoint were *published* before the crash; entries above it are the
+  unapplied suffix.  Replay runs the whole journal (the graph is
+  memory-only), but the checkpoint is what compaction and the
   SIGTERM-during-preload guarantee are measured against.
 * ``quarantined.jsonl`` — offset tombstones (``{"q": offset, "c":
   crc}``) for journaled statements that *quarantined* instead of
@@ -71,6 +72,7 @@ import json
 import os
 import zlib
 
+from .. import cursor
 from ..testing import faults
 
 #: default entries per segment before rotation.
@@ -113,9 +115,10 @@ class IngestJournal:
     segment_max_entries:
         Rotation threshold; small values are useful in tests.
     fsync:
-        ``False`` skips the per-batch ``os.fsync`` (benchmark ablation
-        only — a journal that is not fsync'd does not survive power
-        loss, though it still survives SIGKILL).
+        ``False`` skips the per-batch ``os.fsync`` of segments and
+        checkpoint (benchmark ablation only — a journal that is not
+        fsync'd does not survive power loss, though it still survives
+        SIGKILL).
     """
 
     def __init__(self, directory, segment_max_entries=SEGMENT_MAX_ENTRIES,
@@ -126,6 +129,7 @@ class IngestJournal:
         os.makedirs(self.directory, exist_ok=True)
         self._handle = None           # open append handle of the active segment
         self._segment_path = None
+        self._tops = {}               # segment path -> highest offset (None: empty)
         self._segment_entries = 0     # entries in the active segment
         self._synced_size = 0         # fsync'd byte length of the active segment
         self.appended = 0             # entries appended by THIS process
@@ -140,7 +144,11 @@ class IngestJournal:
         if self._quarantined:
             top = max(top, max(self._quarantined))
         self.next_offset = top + 1
-        self.applied_offset = self._read_checkpoint()
+        self._checkpoint_path = os.path.join(self.directory, _CHECKPOINT)
+        try:
+            self.applied_offset = int(cursor.load(self._checkpoint_path)["applied"])
+        except (KeyError, TypeError, ValueError):
+            self.applied_offset = -1
 
     # ------------------------------------------------------------------
     # disk scanning
@@ -192,23 +200,18 @@ class IngestJournal:
 
         Offsets are deduplicated (first segment wins) so an interrupted
         compaction — compacted segment renamed in, old segments not yet
-        unlinked — replays each offset exactly once.
+        unlinked — replays each offset exactly once.  Also records each
+        segment's highest offset, which is all compaction needs to know
+        about a segment until it folds it.
         """
         entries = {}
+        self._tops = {}
         for path in self._segment_paths():
-            for offset, entry in self._read_segment(path).items():
+            segment = self._read_segment(path)
+            self._tops[path] = max(segment) if segment else None
+            for offset, entry in segment.items():
                 entries.setdefault(offset, entry)
         return entries
-
-    def _read_checkpoint(self):
-        try:
-            with open(
-                os.path.join(self.directory, _CHECKPOINT), "r", encoding="utf-8"
-            ) as handle:
-                payload = json.load(handle)
-            return int(payload["applied"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return -1
 
     def _read_marks(self):
         """The persisted quarantined-offset set.
@@ -260,6 +263,7 @@ class IngestJournal:
             raise JournalWriteError(
                 f"cannot open journal segment {self._segment_path}: {error}"
             ) from error
+        self._tops.setdefault(self._segment_path, None)
         self._segment_entries = 0
 
     def append_batch(self, statements):
@@ -301,6 +305,7 @@ class IngestJournal:
             self._discard_torn_tail(len(offsets))
             raise JournalWriteError(f"journal append failed: {error}") from error
         self.next_offset += len(offsets)
+        self._tops[self._segment_path] = offsets[-1]
         self._segment_entries += len(offsets)
         self._entries_on_disk += len(offsets)
         self.appended += len(offsets)
@@ -338,6 +343,8 @@ class IngestJournal:
                 pass
             self._handle = None
             self.next_offset += batch_size
+            # a torn line of the abandoned segment may claim any skipped offset
+            self._tops[self._segment_path] = self.next_offset - 1
 
     def mark_quarantined(self, offsets):
         """Durably tombstone journal offsets that quarantined instead of
@@ -379,17 +386,13 @@ class IngestJournal:
         """Record that every entry at or below ``offset`` was published."""
         if offset <= self.applied_offset:
             return
-        path = os.path.join(self.directory, _CHECKPOINT)
-        staging = path + ".tmp"
         try:
-            with open(staging, "w", encoding="utf-8") as handle:
-                json.dump({"version": 1, "applied": int(offset)}, handle)
-                handle.write("\n")
-                handle.flush()
-                if self.use_fsync:
-                    os.fsync(handle.fileno())
-            os.replace(staging, path)
-        except OSError as error:
+            cursor.save(
+                self._checkpoint_path,
+                {"version": 1, "applied": int(offset)},
+                fsync=self.use_fsync,
+            )
+        except (OSError, faults.InjectedFault) as error:
             raise JournalWriteError(f"checkpoint failed: {error}") from error
         self.applied_offset = int(offset)
         self._maybe_compact()
@@ -422,21 +425,18 @@ class IngestJournal:
         Runs after a checkpoint advance.  Only segments that are (a) not
         the active append segment and (b) entirely at or below the
         checkpoint are eligible, and compaction only pays off once there
-        is more than one of them or dead redefinitions dominate.
+        is more than one of them.  Eligibility comes from the in-memory
+        segment tops, so a checkpoint with nothing to fold reads no file.
         """
-        paths = self._segment_paths()
-        eligible = []
-        for path in paths:
-            if path == self._segment_path:
-                continue
-            entries = self._read_segment(path)
-            if not entries:
-                eligible.append((path, entries))
-                continue
-            if max(entries) <= self.applied_offset:
-                eligible.append((path, entries))
-        if len(eligible) < 2:
+        paths = sorted(
+            path
+            for path, top in self._tops.items()
+            if path != self._segment_path
+            and (top is None or top <= self.applied_offset)
+        )
+        if len(paths) < 2:
             return
+        eligible = [(path, self._read_segment(path)) for path in paths]
         merged = {}
         for _, entries in eligible:
             for offset, entry in entries.items():
@@ -455,8 +455,9 @@ class IngestJournal:
             for name, (offset, sql, digest) in latest.items()
         )
         if not survivors:
-            for path, _ in eligible:
+            for path in paths:
                 self._unlink(path)
+                del self._tops[path]
             return
         start = survivors[0][0]
         target = os.path.join(self.directory, _segment_name(start))

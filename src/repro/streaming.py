@@ -20,8 +20,9 @@
   the batch lands, the offset advances, and the name keeps its previous
   definition (the batch's next-newest version of it, or what the session
   already had);
-* after every applied batch the **resume offset** is persisted atomically
-  (``<log>.offset.json``: byte offset + line count + prefix digest).  A
+* after every applied batch the **resume offset** (byte offset + line
+  count + prefix digest) is saved to ``<log>.offset.json``, a durable
+  cursor (:mod:`repro.cursor`): one CRC'd record appended and fsync'd.  A
   restarted streamer verifies the digest by replaying the consumed prefix,
   re-applies it as *one* bootstrap batch (warm-spliced from the store; a
   name whose latest definition quarantines falls back past it, as in an
@@ -43,11 +44,10 @@ an uninterrupted run (and, without poison, to a one-shot batch load of
 the same log).
 """
 
-import json
 import os
 import time
 
-from . import ingest
+from . import cursor, ingest
 from .quarantine import Quarantine
 from .sources.query_log import LogTailer, _replay_order, _timestamp_key
 
@@ -60,19 +60,14 @@ def default_offset_path(log_path):
     return os.fspath(log_path) + ".offset.json"
 
 
-def _load_offset(path):
-    """The persisted offset payload, or ``None`` (tolerant: a missing,
-    unreadable or version-skewed file just means a cold start)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if not isinstance(payload, dict):
-            return None
-        if int(payload.get("version", -1)) != OFFSET_VERSION:
-            return None
+def load_offset(path):
+    """The resume offset last saved at ``path`` (``byte_offset``,
+    ``line_count``, ``prefix_sha256``), or ``None``: a missing, unreadable
+    or version-skewed cursor just means a cold start."""
+    payload = cursor.load(path)
+    if isinstance(payload, dict) and payload.get("version") == OFFSET_VERSION:
         return payload
-    except (OSError, ValueError, TypeError):
-        return None
+    return None
 
 
 class QueryLogStreamer:
@@ -181,7 +176,7 @@ class QueryLogStreamer:
         self._resume_checked = True
         if not self.resume_enabled:
             return
-        payload = _load_offset(self.offset_path)
+        payload = load_offset(self.offset_path)
         if payload is None:
             return
         try:
@@ -275,13 +270,7 @@ class QueryLogStreamer:
         payload["version"] = OFFSET_VERSION
         payload["log"] = os.path.abspath(self.log_path)
         payload["saved_at"] = time.time()
-        tmp = self.offset_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.offset_path)
+        cursor.save(self.offset_path, payload)
         self._saved_offset = position.byte_offset
 
     def _maybe_compact(self):

@@ -304,6 +304,45 @@ class TestCompaction:
             # is byte-identical after replay anyway; every offset is here
             assert {offset for offset, *_ in entries} == {0, 1, 2, 3, 4}
 
+    def test_checkpoints_with_nothing_to_fold_read_no_segment(
+        self, tmp_path, monkeypatch
+    ):
+        reads = []
+        read_segment = IngestJournal._read_segment
+
+        def counted(journal, path):
+            reads.append(os.path.basename(path))
+            return read_segment(journal, path)
+
+        with IngestJournal(tmp_path, segment_max_entries=2) as journal:
+            self._fill(journal)
+            journal.checkpoint(3)
+            assert journal.compactions == 1
+            monkeypatch.setattr(IngestJournal, "_read_segment", counted)
+            # one closed segment (the compacted one) and the active one
+            journal.checkpoint(4)
+            journal.append_batch([("v5", "SELECT 7", "h7")])
+            journal.checkpoint(5)
+            assert reads == []
+            # a rotation closes a second applied segment: now it folds
+            journal.append_batch([("v6", "SELECT 8", "h8")])
+            journal.checkpoint(6)
+            assert journal.compactions == 2
+        # after a restart the boot scan supplies the segment tops: the old
+        # active segment is closed now, so the first checkpoint folds it
+        with IngestJournal(tmp_path, segment_max_entries=2) as journal:
+            journal.append_batch([("v7", "SELECT 9", "h9")])
+            journal.checkpoint(7)
+            assert journal.compactions == 1
+            del reads[:]
+            journal.append_batch([("v8", "SELECT 10", "h10")])
+            journal.checkpoint(8)
+            assert reads == []
+            assert journal.replay_entries()[-2:] == [
+                (7, "v7", "SELECT 9", "h9"),
+                (8, "v8", "SELECT 10", "h10"),
+            ]
+
     def test_restart_mid_history_appends_after_compaction(self, tmp_path):
         with IngestJournal(tmp_path, segment_max_entries=2) as journal:
             self._fill(journal)

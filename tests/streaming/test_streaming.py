@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro import LineageSession, QueryLogStreamer
-from repro.streaming import default_offset_path
+from repro.streaming import default_offset_path, load_offset
 
 
 def write_log(path, *lines, mode="w"):
@@ -125,7 +125,7 @@ class TestResume:
                   entry("v1", "CREATE VIEW v1 AS SELECT id FROM base", 2))
         with LineageSession() as session:
             session.stream_log(str(log)).run()
-        offset = json.load(open(default_offset_path(log)))
+        offset = load_offset(default_offset_path(log))
         assert offset["line_count"] == 2
 
         write_log(log, entry("v2", "CREATE VIEW v2 AS SELECT id FROM v1", 3),
@@ -328,8 +328,7 @@ class TestPoisonLines:
             assert session.statements["x"] == X_GOOD
         # the poison was quarantined once, the rest landed, the offset moved
         assert stats["quarantined"] == 1
-        with open(default_offset_path(log), encoding="utf-8") as handle:
-            assert json.load(handle)["line_count"] == 6
+        assert load_offset(default_offset_path(log))["line_count"] == 6
         # a fresh streamer replays the saved prefix as one batch: x's
         # poison quarantines again and x falls back to its good definition
         with LineageSession() as session:

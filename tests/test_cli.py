@@ -9,6 +9,7 @@ import pytest
 
 from repro.cli import build_parser, run
 from repro.datasets import example1, retail
+from repro.streaming import load_offset
 
 
 @pytest.fixture
@@ -410,7 +411,7 @@ class TestStreamSubcommand:
         payload = json.loads(output)
         assert "v1" in payload["relations"]
         # the resume offset was persisted next to the log
-        offset = json.loads((tmp_path / "q.jsonl.offset.json").read_text())
+        offset = load_offset(tmp_path / "q.jsonl.offset.json")
         assert offset["line_count"] == 2
 
     def test_stream_resumes_from_offset(self, tmp_path):
