@@ -16,8 +16,9 @@ sets are taken from the catalog or accumulated from usage.
 On top of the full pipeline sits the *incremental* layer: every run records
 a content hash per Query Dictionary entry, and
 :meth:`LineageXRunner.run_incremental` / :meth:`LineageXResult.update`
-re-extract only the entries whose hash changed plus their transitive DAG
-dependents, splicing the cached :class:`TableLineage` for everything else.
+re-extract only the entries whose hash changed, plus those of their
+transitive DAG dependents for which a relation they read changed its column
+list, splicing the cached :class:`TableLineage` for everything else.
 """
 
 import os
@@ -153,8 +154,9 @@ class LineageXResult:
         Returns
         -------
         LineageXResult
-            A fresh result in which only the changed entries and their
-            transitive DAG dependents were re-extracted; the lineage of
+            A fresh result in which only the changed entries, and the
+            transitive DAG dependents for which a relation they read
+            changed its column list, were re-extracted; the lineage of
             every other entry is spliced from this result's graph (see
             ``result.report.reused``).
         """
@@ -301,9 +303,16 @@ class LineageXRunner:
         changed sources are parsed — every other entry's parsed statement is
         carried over from ``prev_result`` as-is.  Each entry of the merged
         dictionary is then content-hashed and compared against
-        ``prev_result.source_hashes``; only genuinely changed or added
-        entries, plus every transitive DAG dependent of a changed, added,
-        or removed relation, are re-extracted.  The cached
+        ``prev_result.source_hashes``; genuinely changed or added entries
+        are re-extracted.  Every transitive DAG dependent of a changed,
+        added or removed relation, or of one whose ``CREATE TABLE`` schema
+        changed, is a *candidate*: when the scheduler reaches it, the
+        column lists it would read now are compared with those its previous
+        extraction read, and only a difference re-extracts it (extraction
+        is a pure function of the statement and those column lists).  So
+        an edit that keeps a view's column list re-extracts that view
+        alone.  With ``use_stack=False`` every candidate is re-extracted,
+        as an entry may then run before what it reads.  The cached
         :class:`TableLineage` of every other entry is spliced into the new
         graph unchanged.
 
@@ -333,23 +342,54 @@ class LineageXRunner:
         dag = DependencyDAG.from_query_dictionary(
             query_dictionary, previous=prev_result.dag, changed=changed | removed
         )
-        dirty = changed | (
-            dag.transitive_dependents(changed | removed | ddl_changed) & set(hashes)
+        affected = dag.transitive_dependents(changed | removed | ddl_changed)
+        # a statement reading the relation it writes is no DAG reader of
+        # itself, but its self-read resolves through the changed catalog
+        affected.update(
+            name for name in ddl_changed
+            if name in hashes and name in query_dictionary.get(name).table_refs()
         )
+        affected = (affected & hashes.keys()) - changed
+        dirty = changed
+        if not self.use_stack:
+            # without the stack an entry may be extracted before what it
+            # reads, so the inputs it saw are not known: re-extract eagerly
+            dirty, affected = changed | affected, set()
+
+        relations, prev_catalog = prev_result.graph.relations, prev_result.catalog
+
+        def previous_columns(name):
+            # a view's output, else the catalog's (a base-table node only
+            # accumulates usage; an unresolved entry also ends up as one)
+            lineage = relations.get(name)
+            if lineage is not None and not lineage.is_base_table:
+                return list(lineage.output_columns)
+            table = prev_catalog.get(name) if prev_catalog is not None else None
+            return table.column_names() if table is not None else None
 
         seed_results = {}
-        for identifier in query_dictionary.identifiers():
+        candidates = {}
+        for identifier, entry in query_dictionary.items():
             if identifier in dirty:
                 continue
-            cached = prev_result.graph.get(identifier)
+            cached = relations.get(identifier)
             if cached is None or cached.is_base_table:
                 # Nothing usable to splice (e.g. the entry was unresolved in
                 # the previous run); re-extract it.
                 continue
-            seed_results[identifier] = cached
+            if identifier in affected:
+                # the {relation: columns} its previous extraction read: with
+                # the stack an entry completes only once everything it reads
+                # is resolved, so the previous run's final state is what it saw
+                read = self._dependency_schemas(entry, prev_catalog, previous_columns)
+                candidates[identifier] = (
+                    cached, {name: columns for name, columns in read if columns is not None}
+                )
+            else:
+                seed_results[identifier] = cached
         return self._run_scheduler(
-            query_dictionary, seed_results=seed_results, dag=dag,
-            previous=prev_result, schema_changed=ddl_changed,
+            query_dictionary, seed_results=seed_results, candidates=candidates,
+            dag=dag, previous=prev_result, schema_changed=ddl_changed,
         )
 
     def _merge_query_dictionary(self, prev_dictionary, changed_sources):
@@ -477,8 +517,8 @@ class LineageXRunner:
         return merged, ddl_changed
 
     # ------------------------------------------------------------------
-    def _run_scheduler(self, query_dictionary, seed_results=None, dag=None,
-                       previous=None, schema_changed=()):
+    def _run_scheduler(self, query_dictionary, seed_results=None, candidates=None,
+                       dag=None, previous=None, schema_changed=()):
         catalog = self._build_catalog(query_dictionary)
         seed_origins = {identifier: "memory" for identifier in (seed_results or ())}
         store = self._usable_store()
@@ -487,7 +527,8 @@ class LineageXRunner:
                 dag = DependencyDAG.from_query_dictionary(query_dictionary)
             seed_results = dict(seed_results or {})
             self._splice_from_store(
-                store, query_dictionary, catalog, dag, seed_results, seed_origins
+                store, query_dictionary, catalog, dag, seed_results, seed_origins,
+                candidates or {},
             )
         shard_router = None
         if self.stream and store is not None:
@@ -505,6 +546,7 @@ class LineageXRunner:
             executor=self.executor,
             seed_results=seed_results,
             seed_origins=seed_origins,
+            candidates=candidates,
             dag=dag,
             release_asts=self.stream,
             wave_batching=self.stream,
@@ -566,7 +608,8 @@ class LineageXRunner:
         return rows
 
     def _splice_from_store(
-        self, store, query_dictionary, catalog, dag, seed_results, seed_origins
+        self, store, query_dictionary, catalog, dag, seed_results, seed_origins,
+        candidates,
     ):
         """Seed extraction with store hits, walking entries in plan order.
 
@@ -576,11 +619,13 @@ class LineageXRunner:
         references, so hits resolve in topological order — an upstream
         miss (changed content, schema drift, version bump) conservatively
         re-extracts every dependent whose resolved schemas it feeds.
+        Incremental ``candidates`` are not prefetched: they depend on a
+        changed entry, so they are looked up only if it hits.
         """
         store.prime(
             entry.content_hash
             for identifier, entry in query_dictionary.items()
-            if identifier not in seed_results
+            if identifier not in seed_results and identifier not in candidates
         )
 
         def lookup(name):

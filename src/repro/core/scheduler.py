@@ -40,6 +40,14 @@ the failure modes the ablation measures.)
 ``seed_results`` pre-populates extraction results (keyed by identifier) and
 is the substrate of incremental re-extraction: seeded entries are treated as
 already processed and spliced into the output graph unchanged.
+``candidates`` carries the entries an incremental change *may* affect,
+each with its previous lineage and the ``{relation: columns}`` its previous
+extraction read.  When a candidate's turn comes, the scheduler compares
+that record with the schemas the entry would be extracted against now:
+equal inputs give equal output (:func:`extract_statement_job` is a pure
+function of them), so the previous lineage is spliced instead — the
+"early cutoff" of build systems, which stops re-extraction at the first
+entry whose inputs did not change.
 """
 
 import contextlib
@@ -160,8 +168,9 @@ class ScheduleReport:
     waves: list = field(default_factory=list)        # the topological plan (dag mode)
     reused: list = field(default_factory=list)       # identifiers spliced from a cache
     #: where each reused identifier was spliced from: ``"memory"`` (the
-    #: previous result's graph, i.e. the incremental layer) or ``"store"``
-    #: (the persistent content-addressed lineage store).
+    #: previous result's graph, i.e. the incremental layer, including the
+    #: candidates whose inputs came out unchanged) or ``"store"`` (the
+    #: persistent content-addressed lineage store).
     reused_from: dict = field(default_factory=dict)
     #: the wave-execution backend actually used: ``"serial"``, ``"thread"``,
     #: or ``"process"`` (a requested process pool that could not be started
@@ -260,6 +269,7 @@ class AutoInferenceScheduler:
         executor="thread",
         seed_results=None,
         seed_origins=None,
+        candidates=None,
         dag=None,
         release_asts=False,
         wave_batching=False,
@@ -310,6 +320,9 @@ class AutoInferenceScheduler:
                     self.seed_origins[identifier] = seed_origins.get(
                         identifier, "memory"
                     )
+        #: identifier -> (previous TableLineage, {relation: columns} its
+        #: previous extraction read); see _splice_candidate.
+        self.candidates = dict(candidates or {})
         #: a pre-built DependencyDAG for this Query Dictionary may be passed
         #: in (the incremental runner already computed one for its dirty
         #: set); otherwise the plan-first mode builds it on demand.
@@ -324,11 +337,7 @@ class AutoInferenceScheduler:
     # ------------------------------------------------------------------
     def run(self):
         """Process every Query Dictionary entry; return (graph, report)."""
-        report = ScheduleReport(
-            mode=self.mode,
-            reused=list(self.seeded),
-            reused_from=dict(self.seed_origins),
-        )
+        report = ScheduleReport(mode=self.mode)
         if self.mode == "dag":
             self._run_planned(report)
         else:
@@ -337,6 +346,19 @@ class AutoInferenceScheduler:
                     continue
                 self._process_with_stack(identifier, report)
 
+        if len(self.seed_origins) > len(self.seeded):
+            # spliced candidates join the seeds in Query Dictionary order,
+            # so the graph's relation order is the same as if they had been
+            # seeded up front
+            self.seeded = [
+                identifier
+                for identifier in self.query_dictionary.identifiers()
+                if identifier in self.seed_origins
+            ]
+        report.reused = list(self.seeded)
+        report.reused_from = {
+            identifier: self.seed_origins[identifier] for identifier in self.seeded
+        }
         graph = LineageGraph()
         for identifier in self.seeded:
             graph.add(self.results[identifier])
@@ -358,7 +380,11 @@ class AutoInferenceScheduler:
         with contextlib.ExitStack() as stack:
             pool = None
             for wave in waves:
-                todo = [identifier for identifier in wave if identifier in self.pending]
+                todo = [
+                    identifier for identifier in wave
+                    if identifier in self.pending
+                    and not self._splice_candidate(identifier)
+                ]
                 if parallel and len(todo) > 1:
                     if pool is None:
                         # one executor for the whole run — waves are already
@@ -458,6 +484,30 @@ class AutoInferenceScheduler:
                 if table is not None:
                     schemas[name] = table.column_names()
         return schemas, frozenset(pending)
+
+    def _splice_candidate(self, identifier):
+        """Reuse a candidate's previous lineage if its inputs are unchanged.
+
+        The schemas the entry would be extracted against now (the exact
+        input of :func:`extract_statement_job`) are compared with those its
+        previous extraction read.  While a dependency is still pending the
+        answer is not known yet and the candidate stays one; otherwise the
+        decision is final.  Returns ``True`` when the lineage was spliced.
+        """
+        candidate = self.candidates.get(identifier)
+        if candidate is None:
+            return False
+        schemas, pending = self._schema_snapshot(identifier)
+        if pending:
+            return False
+        del self.candidates[identifier]
+        lineage, previous = candidate
+        if schemas != previous:
+            return False
+        self.results[identifier] = lineage
+        self.pending.discard(identifier)
+        self.seed_origins[identifier] = "memory"
+        return True
 
     def _run_wave_parallel(self, pool, todo, report):
         """Extract one wave's entries concurrently; return pre-pass misses.
@@ -593,6 +643,15 @@ class AutoInferenceScheduler:
             current = stack[-1]
             if current not in self.pending:
                 stack.pop()
+                continue
+            if self._splice_candidate(current):
+                # its inputs are unchanged: the previous lineage stands, and
+                # whatever was deferred on it resumes as after an extraction
+                stack.pop()
+                if stack:
+                    report.events.append(
+                        DeferralEvent(kind="resume", identifier=stack[-1], missing=current)
+                    )
                 continue
             entry = self.query_dictionary.get(current)
             self.provider.current = current

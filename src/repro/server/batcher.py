@@ -64,6 +64,7 @@ intermediate snapshots, which is the point).
 """
 
 import asyncio
+from collections import Counter
 
 from .journal import JournalError
 from .. import ingest
@@ -466,12 +467,11 @@ class IngestBatcher:
         if quarantined:
             payload["quarantined"] = quarantined
         if report is not None:
+            origins = Counter((getattr(report, "reused_from", None) or {}).values())
             payload["batch"] = {
                 "extracted": len(getattr(report, "order", ()) or ()),
-                "reused_from_memory": len(getattr(report, "reused", ()) or ()),
-                "reused_from_store": len(
-                    getattr(report, "reused_from", {}) or {}
-                ),
+                "reused_from_memory": origins["memory"],
+                "reused_from_store": origins["store"],
                 "unresolved": sorted(getattr(report, "unresolved", ()) or ()),
             }
         return payload

@@ -373,8 +373,9 @@ class LineageSession:
             and query-log-file sources.
 
         With the static engine this feeds the delta into the incremental
-        layer (:meth:`LineageXResult.update`): only changed entries and
-        their transitive DAG dependents are re-extracted.  The plan engine
+        layer (:meth:`LineageXResult.update`): only changed entries, and
+        the transitive DAG dependents for which a relation they read
+        changed its column list, are re-extracted.  The plan engine
         has no incremental path (EXPLAIN revalidates every dependency), so
         a full re-run over the merged sources is performed instead.
         """

@@ -12,8 +12,9 @@
   by a string comparison — most production log traffic never touches the
   parser, and only changed statements are ever hashed;
 * genuinely changed definitions go through the shared ingest core
-  (:func:`repro.ingest.apply`), so only the dirty set (the changed names
-  plus their transitive DAG dependents) is re-extracted per batch;
+  (:func:`repro.ingest.apply`), so only the dirty set is re-extracted per
+  batch: the changed names, plus those of their transitive DAG dependents
+  for which a relation they read changed its column list;
 * a poison statement is **quarantined** the way ``POST /extract``
   quarantines it: the batch is bisected down to the statement, which gets
   the same ``{"type", "message"}`` error record and backoff; the rest of

@@ -1,9 +1,10 @@
-"""Tests for incremental re-extraction (content hashing + DAG dirty sets).
+"""Tests for incremental re-extraction (content hashing + early cutoff).
 
 ``LineageXRunner.run_incremental`` / ``LineageXResult.update`` take a
 *delta* — ``{identifier: new_sql}`` with ``None`` meaning removal — and must
 produce a graph identical to a full re-run over the merged sources while
-re-extracting only the changed entries plus their transitive DAG dependents.
+re-extracting only the changed entries plus the transitive DAG dependents
+for which a relation they read changed its column list.
 """
 
 import pytest
@@ -35,6 +36,39 @@ def full_and_incremental(prev_result, changes, runner=None, sources=SOURCES):
     incremental = runner.run_incremental(prev_result, changes)
     full = runner.run(apply_changes(sources, changes))
     return incremental, full
+
+
+def _read_columns(result, reader, name):
+    """The column list ``reader``'s extraction reads for ``name`` in
+    ``result``: a view's output, else (and for a self-read) the catalog's."""
+    entry = result.graph.relations.get(name)
+    if name != reader and entry is not None and not entry.is_base_table:
+        return entry.output_columns
+    table = result.catalog.get(name)
+    return table.column_names() if table is not None else None
+
+
+def expected_reextracted(baseline, full):
+    """The entries an incremental run from ``baseline`` must re-extract.
+
+    An oracle taken from two full runs: the entries whose content changed,
+    plus every entry reading a relation whose column list differs between
+    ``baseline`` and ``full``.
+    """
+    changed = {
+        identifier
+        for identifier, value in full.source_hashes.items()
+        if baseline.source_hashes.get(identifier) != value
+    }
+    return changed | {
+        identifier
+        for identifier, entry in full.query_dictionary.items()
+        if any(
+            _read_columns(baseline, identifier, name)
+            != _read_columns(full, identifier, name)
+            for name in entry.table_refs()
+        )
+    }
 
 
 class TestContentHashing:
@@ -107,9 +141,15 @@ class TestIncrementalCorrectness:
     def test_removing_a_query_invalidates_its_dependents(self):
         prev = lineagex(dict(SOURCES))
         incremental, full = full_and_incremental(prev, {"webinfo": None})
-        # webact read webinfo, info reads webact: both must be re-extracted
-        # (webinfo becomes an external table of unknown schema)
-        assert incremental.report.reused == []
+        # webact read webinfo, which becomes an external table of unknown
+        # schema, so webact is re-extracted; its column list comes out the
+        # same, so info (which reads webact) is spliced
+        assert incremental.report.order == ["webact"]
+        assert incremental.report.reused == ["info"]
+        assert (
+            incremental.graph["webact"].output_columns
+            == prev.graph["webact"].output_columns
+        )
         assert "webinfo" not in {v.name for v in incremental.graph.views}
         assert diff_graphs(incremental.graph, full.graph).is_identical
 
@@ -383,16 +423,153 @@ class TestIncrementalCorrectness:
         )
         diff = diff_graphs(incremental.graph, full.graph)
         assert diff.is_identical, diff.summary()
-        # the dirty set is exactly the change plus its transitive dependents
-        from repro.core.dag import DependencyDAG
-        from repro.core.preprocess import preprocess
+        # the re-extracted set is exactly the change plus the readers of a
+        # relation whose column list changed
+        expected = expected_reextracted(prev, full)
+        assert target in expected
+        assert set(incremental.report.order) == expected
+        assert set(incremental.report.reused) == set(sources) - expected
 
-        dag = DependencyDAG.from_query_dictionary(
-            preprocess(apply_changes(sources, changes))
+
+#: t -> a -> (b1, b2) -> c -> d, dependents listed first so that the stack
+#: mode defers on every edge
+FAN = {
+    "d": "CREATE VIEW d AS SELECT * FROM c",
+    "c": "CREATE VIEW c AS SELECT b1.x, b2.y FROM b1 JOIN b2 ON b1.x = b2.x",
+    "b2": "CREATE VIEW b2 AS SELECT * FROM a",
+    "b1": "CREATE VIEW b1 AS SELECT * FROM a",
+    "a": "CREATE VIEW a AS SELECT t.x, t.y FROM t",
+}
+KEEP_COLUMNS = {"a": "CREATE VIEW a AS SELECT t.x, t.y FROM t WHERE t.x > 0"}
+REORDER_COLUMNS = {"a": "CREATE VIEW a AS SELECT t.y, t.x FROM t"}
+ADD_COLUMN = {"a": "CREATE VIEW a AS SELECT t.x, t.y, t.z FROM t"}
+
+
+def update_matches_full_run(sources, changes, **options):
+    """``(prev, updated)``; ``updated`` is checked against a full re-run."""
+    prev = LineageXRunner(**options).run(dict(sources))
+    updated = prev.update(changes)
+    full = LineageXRunner(**options).run(apply_changes(sources, changes))
+    diff = diff_graphs(updated.graph, full.graph)
+    assert diff.is_identical, diff.summary()
+    assert set(updated.report.order) == expected_reextracted(prev, full)
+    return prev, updated
+
+
+class TestEarlyCutoff:
+    def test_schema_preserving_edit_splices_a_deep_chain(self):
+        prev, updated = update_matches_full_run(FAN, KEEP_COLUMNS)
+        assert updated.report.order == ["a"]
+        assert updated.report.reused == ["d", "c", "b2", "b1"]
+        assert set(updated.report.reused_from.values()) == {"memory"}
+        for name in ("b1", "b2", "c", "d"):
+            assert updated.graph[name] is prev.graph[name]
+        # spliced entries keep their places, so after a second edit the next
+        # snapshot re-indexes the edited view and the base table it reads
+        again = updated.update(
+            {"a": "CREATE VIEW a AS SELECT t.x, t.y FROM t WHERE t.y > 0"}
         )
-        expected_dirty = {target} | dag.transitive_dependents({target})
-        assert set(incremental.report.order) == expected_dirty
-        assert set(incremental.report.reused) == set(sources) - expected_dirty
+        seed = updated.graph.freeze().reachability(build=False)
+        assert again.graph.freeze(reach_seed=seed)._index.changed == ["a", "t"]
+
+    def test_column_reorder_reextracts_select_star_dependents(self):
+        _, updated = update_matches_full_run(FAN, REORDER_COLUMNS)
+        assert updated.graph["b1"].output_columns == ["y", "x"]
+        assert updated.graph["b2"].output_columns == ["y", "x"]
+        assert updated.report.order == ["a", "b2", "b1", "c"]
+        assert updated.report.reused == ["d"]
+
+    def test_schema_change_stops_where_outputs_are_unchanged(self):
+        prev, updated = update_matches_full_run(FAN, ADD_COLUMN)
+        # c reads the widened b1/b2 but still outputs (x, y): d is spliced
+        assert updated.report.order == ["a", "b2", "b1", "c"]
+        assert updated.graph["c"].output_columns == prev.graph["c"].output_columns
+        assert updated.report.reused == ["d"]
+
+    def test_self_reading_insert_follows_its_own_schema(self):
+        sources = {
+            "ddl": "CREATE TABLE t (a integer, b integer)",
+            "ins": "INSERT INTO t SELECT * FROM t",
+        }
+        _, updated = update_matches_full_run(
+            sources, {"ddl": "CREATE TABLE t (a integer, b integer, c integer)"}
+        )
+        # the self-read resolves through the catalog, which gained a column
+        assert updated.report.order == ["t"]
+        assert updated.graph["t"].output_columns == ["a", "b", "c"]
+
+    def test_self_reading_update_from_compares_its_other_inputs(self):
+        sources = {
+            "ddl": "CREATE TABLE t (a integer, b integer)",
+            "s": "CREATE VIEW s AS SELECT u.x, u.y FROM u",
+            "upd": "UPDATE t SET a = s.x FROM s WHERE t.b = s.y",
+        }
+        _, kept = update_matches_full_run(
+            sources, {"s": "CREATE VIEW s AS SELECT u.x, u.y FROM u WHERE u.x > 0"}
+        )
+        assert kept.report.order == ["s"]
+        assert kept.report.reused == ["t"]
+        _, widened = update_matches_full_run(
+            sources, {"s": "CREATE VIEW s AS SELECT u.x, u.y, u.z FROM u"}
+        )
+        assert widened.report.order == ["s", "t"]
+
+    def test_removal_reextracts_its_readers(self):
+        _, updated = update_matches_full_run(FAN, {"a": None})
+        assert {"b1", "b2"} <= set(updated.report.order)
+
+    def test_create_table_change_reextracts_readers_of_its_columns(self):
+        sources = {"ddl": "CREATE TABLE t (x integer, y integer)", **FAN}
+        _, widened = update_matches_full_run(
+            sources, {"ddl": "CREATE TABLE t (x integer, y integer, z integer)"}
+        )
+        # a names its columns, so its output is unchanged and b1.. splice
+        assert widened.report.order == ["a"]
+        _, retyped = update_matches_full_run(
+            sources, {"ddl": "CREATE TABLE t (x bigint, y integer)"}
+        )
+        assert retyped.report.order == []
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"mode": "stack"}, {"workers": 2}, {"stream": True}],
+        ids=["stack", "threads", "stream"],
+    )
+    def test_every_mode_splices_the_same_set(self, options):
+        for changes in (KEEP_COLUMNS, REORDER_COLUMNS, ADD_COLUMN):
+            default = LineageXRunner().run(dict(FAN)).update(changes)
+            _, updated = update_matches_full_run(FAN, changes, **options)
+            assert set(updated.report.order) == set(default.report.order)
+            assert updated.report.reused == default.report.reused
+
+    def test_without_the_stack_dependents_stay_eager(self):
+        in_dependency_order = dict(reversed(list(FAN.items())))
+        prev = LineageXRunner(use_stack=False).run(in_dependency_order)
+        updated = prev.update(KEEP_COLUMNS)
+        assert updated.report.order == ["a", "b1", "b2", "c", "d"]
+        assert updated.report.reused == []
+
+    def test_candidates_are_not_prefetched_from_the_store(self, tmp_path):
+        from repro.store import LineageStore
+
+        store = LineageStore(tmp_path / "cache")
+        primed = []
+        prime = store.prime
+
+        def recording_prime(content_hashes):
+            content_hashes = list(content_hashes)
+            primed.extend(content_hashes)
+            return prime(content_hashes)
+
+        try:
+            prev = LineageXRunner(store=store).run(dict(FAN))
+            store.prime = recording_prime
+            updated = prev.update(KEEP_COLUMNS)
+        finally:
+            store.close()
+        assert primed == [updated.query_dictionary.get("a").content_hash]
+        assert updated.report.order == ["a"]
+        assert updated.stats()["num_reused_memory"] == 4
 
 
 class TestResultUpdate:

@@ -264,16 +264,38 @@ def test_sharded_store_equivalence(seed, tmp_path):
 # ----------------------------------------------------------------------
 # full vs incremental refresh
 # ----------------------------------------------------------------------
-def _modified_sources(warehouse):
-    """A deterministic delta: tweak one view, add one new view."""
+def _modified_sources(warehouse, first):
+    """A deterministic delta: tweak one view keeping its columns, add a
+    column to a second and reverse the columns of a third (both read by
+    other entries of ``first``), and add one new view."""
     import random
 
-    view_names = [
+    view_names = sorted(
         name for name, sql in warehouse.views.items() if sql.startswith("CREATE VIEW")
+    )
+    rng = random.Random(warehouse.seed * 13 + 5)
+    picked = rng.choice(view_names)
+    read = [
+        name for name in view_names
+        if name != picked and first.dag.dependents.get(name)
     ]
-    picked = random.Random(warehouse.seed * 13 + 5).choice(sorted(view_names))
+    widened = rng.choice(read)
+    columns = {name: first.graph[name].output_columns for name in read}
+    reordered = rng.choice([
+        name for name in read
+        if name != widened and 1 < len(columns[name]) == len(set(columns[name]))
+    ])
+
+    def wrapped(name, projection):
+        head, body = warehouse.views[name].split(" AS ", 1)
+        return f"{head} AS SELECT {projection} FROM ({body}) v"
+
     changes = {
         picked: warehouse.views[picked] + " LIMIT 3",
+        widened: wrapped(widened, "v.*, 1 AS diff_extra_column"),
+        reordered: wrapped(
+            reordered, ", ".join(f"v.{column}" for column in reversed(columns[reordered]))
+        ),
         "diff_extra_view": "CREATE VIEW diff_extra_view AS SELECT s.id FROM base_0 s",
     }
     modified = dict(warehouse.views)
@@ -285,7 +307,7 @@ def _modified_sources(warehouse):
 def test_full_vs_incremental_equivalence(seed):
     warehouse = _warehouse(seed)
     first = _run(warehouse)
-    changes, modified = _modified_sources(warehouse)
+    changes, modified = _modified_sources(warehouse, first)
 
     full = _run(warehouse, sources=modified)
     incremental = first.update(changes)

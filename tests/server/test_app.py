@@ -181,6 +181,33 @@ class TestExtractEndpoint:
 
         _with_app(check)
 
+    def test_batch_counts_splices_by_origin(self, tmp_path):
+        # one daemon fills the store; the next boots warm from it, and an
+        # append after that boot splices the corpus from memory, not disk
+        cache_dir = str(tmp_path / "cache")
+
+        async def fill(app, host, port):
+            await app.preload({"v1": V1, "v2": V2})
+
+        async def check(app, host, port):
+            boot = await app.batcher.submit({"v1": V1, "v2": V2}, journal=False)
+            assert boot["batch"]["reused_from_store"] == 2
+            assert boot["batch"]["reused_from_memory"] == 0
+            status, payload = await _json(
+                host, port, "POST", "/extract",
+                {"v3": "CREATE VIEW v3 AS SELECT a FROM v2"},
+            )
+            assert status == 200
+            assert payload["batch"] == {
+                "extracted": 1,
+                "reused_from_memory": 2,
+                "reused_from_store": 0,
+                "unresolved": [],
+            }
+
+        _with_app(fill, cache_dir=cache_dir)
+        _with_app(check, cache_dir=cache_dir)
+
     def test_bare_mapping_body_accepted(self):
         async def check(app, host, port):
             status, payload = await _json(host, port, "POST", "/extract", {"v1": V1})
