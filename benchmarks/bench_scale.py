@@ -15,10 +15,9 @@ Artifacts:
 
 * a per-tier report (``benchmarks/results/scale.*``);
 * the committed trajectory file ``BENCH_scale.json`` at the repo root
-  (cold/warm statements-per-second and peak RSS per tier, the
-  streaming-vs-materialized memory ablation, and a shard-routed process
-  executor measurement).  Its ``baseline`` section is pinned on first
-  emit and never overwritten.
+  (cold/warm statements-per-second and peak RSS per tier, and the
+  streaming-vs-materialized memory ablation).  Its ``baseline`` section
+  is pinned on first emit and never overwritten.
 
 Gates (skipped on shared CI runners unless ``BENCH_STRICT=1``):
 
@@ -54,8 +53,6 @@ GATE_TIER = TIERS[0]
 #: shard count for the scale runs — enough fan-out for parallel prefetch
 #: without per-file overhead dominating at the small tiers.
 SHARDS = 8
-#: workers for the shard-routed process-executor measurement.
-WORKERS = 4
 #: peak-RSS budget for the streaming runs at the top tier, in MB.  At 100k
 #: statements the recording machine measured ~900 MB cold / ~1050 MB warm —
 #: dominated by the *result* (100k TableLineage entries plus the full
@@ -91,13 +88,7 @@ def _child_main(config):
     store = None
     if config["cache_dir"]:
         store = LineageStore(config["cache_dir"], shards=config["shards"])
-    runner = LineageXRunner(
-        catalog=catalog,
-        store=store,
-        stream=config["stream"],
-        workers=config["workers"],
-        executor=config["executor"],
-    )
+    runner = LineageXRunner(catalog=catalog, store=store, stream=config["stream"])
     started = time.perf_counter()
     result = runner.run(warehouse)
     elapsed = time.perf_counter() - started
@@ -121,8 +112,7 @@ def _child_main(config):
     )
 
 
-def _run_child(tier, cache_dir=None, stream=True, shards=SHARDS, workers=None,
-               executor="thread"):
+def _run_child(tier, cache_dir=None, stream=True, shards=SHARDS):
     config = {
         "tier": tier,
         "base_tables": _base_tables(tier),
@@ -130,8 +120,6 @@ def _run_child(tier, cache_dir=None, stream=True, shards=SHARDS, workers=None,
         "cache_dir": cache_dir,
         "shards": shards,
         "stream": stream,
-        "workers": workers,
-        "executor": executor,
     }
     env = dict(os.environ)
     src = os.path.join(REPO_ROOT, "src")
@@ -220,43 +208,22 @@ def test_scale_report():
         ),
     }
 
-    # shard-routed process executor: wave batches grouped by shard, cold
-    parallel_dir = tempfile.mkdtemp(prefix="lineage-scale-bench-par-")
-    try:
-        parallel = _run_child(
-            GATE_TIER, cache_dir=parallel_dir, stream=True,
-            workers=WORKERS, executor="process",
-        )
-    finally:
-        shutil.rmtree(parallel_dir, ignore_errors=True)
-    parallel_row = {
-        "tier": GATE_TIER,
-        "workers": WORKERS,
-        "executor": "process",
-        "cold_s": parallel["elapsed_s"],
-        "cold_stmt_per_s": parallel["stmt_per_s"],
-        "peak_rss_mb": parallel["peak_rss_mb"],
-    }
-
     payload = {
         "config": {
             "seed": SEED,
             "tiers": TIERS,
             "shards": SHARDS,
-            "workers": WORKERS,
             "memory_budget_mb": MEMORY_BUDGET_MB,
             "quick": QUICK,
         },
         "current": {
             "series": series,
             "ablation": ablation,
-            "parallel": parallel_row,
         },
         # pinned on first emit, preserved by emit_root_json() ever after
         "baseline": {
             "series": series,
             "ablation": ablation,
-            "parallel": parallel_row,
         },
     }
 
@@ -287,10 +254,6 @@ def test_scale_report():
         f"{ablation['streaming_peak_rss_mb']:.0f} MB vs "
         f"{ablation['materialized_peak_rss_mb']:.0f} MB materialized "
         f"({ablation['saving_ratio']:.1f}x saving)"
-    )
-    lines.append(
-        f"process executor ({WORKERS} workers, shard-routed batches) at "
-        f"{GATE_TIER}: {parallel_row['cold_stmt_per_s']:.0f} stmt/s cold"
     )
     emit("scale", "Scale tier — cold/warm throughput and peak RSS", lines)
     emit_json("scale", payload)

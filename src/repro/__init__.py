@@ -17,7 +17,7 @@ projects and JSONL query logs), engine selection (``static`` AST pipeline
 vs ``plan`` database-connection mode) and output rendering (a named
 renderer registry):
 
->>> session = repro.LineageSession("warehouse/", workers=4)
+>>> session = repro.LineageSession("warehouse/")
 >>> result = session.extract()
 >>> print(result.render("markdown"))
 >>> session.refresh()               # rescan + incremental re-extraction

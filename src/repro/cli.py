@@ -15,8 +15,8 @@ Subcommand form (preferred):
     $ python -m repro serve models/ --cache-dir .lineage-cache --port 8765
 
 Every extraction subcommand accepts the shared extraction flags
-(``--engine``, ``--catalog``, ``--strict``, ``--mode``, ``--workers``,
-``--executor``, ``--cache-dir``, ...) and every ``--format`` value
+(``--engine``, ``--catalog``, ``--strict``, ``--mode``, ``--cache-dir``,
+...) and every ``--format`` value
 resolves through the renderer registry, so formats added with
 :func:`repro.output.register_renderer` are immediately available here.
 The ``cache`` subcommand inspects and maintains a persistent lineage
@@ -57,15 +57,16 @@ SUBCOMMANDS = ("extract", "impact", "render", "refresh", "cache", "serve", "stre
 
 
 def _positive_int(text):
-    """argparse type for ``--workers``: an integer >= 1."""
+    """argparse type for count flags: an integer >= 1.
+
+    The messages leave out the flag: argparse prefixes them with it.
+    """
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"--workers must be >= 1 (a thread-pool size), got {value}"
-        )
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -119,24 +120,6 @@ def _add_extraction_options(parser):
         "LIFO-deferral stack",
     )
     parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        metavar="N",
-        default=None,
-        help="in dag mode, extract independent queries of each wave on a "
-        "pool of N workers (default: sequential; output is identical "
-        "either way — see --executor)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=["thread", "process"],
-        default="thread",
-        help="worker-pool backend for --workers: 'thread' (default; "
-        "GIL-bound on stock CPython) or 'process' (uses the cores; "
-        "byte-identical output, falls back to threads where process pools "
-        "are unavailable)",
-    )
-    parser.add_argument(
         "--cache-dir",
         metavar="DIR",
         default=None,
@@ -158,8 +141,8 @@ def _add_extraction_options(parser):
         "--stream",
         action="store_true",
         help="bounded-memory extraction for very large corpora: release "
-        "each statement's AST as soon as it is no longer needed and ship "
-        "parallel waves as shard-routed batches (byte-identical output)",
+        "each statement's AST as soon as it is no longer needed "
+        "(byte-identical output)",
     )
 
 
@@ -346,14 +329,6 @@ def build_subcommand_parser():
         help="treat the preload input directory as a dbt project",
     )
     serve.add_argument(
-        "--workers", type=_positive_int, metavar="N", default=None,
-        help="worker-pool width for each ingest batch's DAG-wave extraction",
-    )
-    serve.add_argument(
-        "--executor", choices=["thread", "process"], default="thread",
-        help="worker-pool backend for --workers (see 'extract --help')",
-    )
-    serve.add_argument(
         "--cache-dir", metavar="DIR", default=None,
         help="persistent lineage store: ingest splices unchanged statements "
         "from it and persists new extractions (warm restarts)",
@@ -479,9 +454,7 @@ def _session_from_args(args):
         use_stack=not args.no_stack,
         collect_traces=args.collect_traces,
         mode=args.mode,
-        workers=args.workers,
         engine=args.engine,
-        executor=args.executor,
         cache_dir=args.cache_dir,
         stream=args.stream,
         cache_shards=args.cache_shards,
@@ -655,9 +628,7 @@ def _cmd_stream(args, stdout):
         use_stack=not args.no_stack,
         collect_traces=args.collect_traces,
         mode=args.mode,
-        workers=args.workers,
         engine=args.engine,
-        executor=args.executor,
         cache_dir=args.cache_dir,
         stream=args.stream,
         cache_shards=args.cache_shards,
@@ -744,8 +715,6 @@ def _cmd_serve(args, stdout):
     app = LineageApp(
         cache_dir=args.cache_dir,
         cache_shards=args.cache_shards,
-        workers=args.workers,
-        executor=args.executor,
         catalog=catalog,
         strict=args.strict,
         batch_window=args.batch_window_ms / 1000.0,

@@ -9,13 +9,11 @@ sources appearing anywhere in its AST (minus the CTE names it defines
 itself).
 
 :class:`DependencyDAG` materialises that structure once, in a pass that is
-orders of magnitude cheaper than full extraction.  It backs three features:
+orders of magnitude cheaper than full extraction.  It backs two features:
 
 * the scheduler's *plan-first* mode — topologically sort the Query
   Dictionary into :meth:`waves` and extract in dependency order, so the
   deferral stack is only ever needed for references the pre-pass cannot see;
-* wave-level parallelism — entries within one wave are mutually independent
-  and can be extracted concurrently;
 * incremental re-extraction — :meth:`transitive_dependents` is the dirty
   set of a source change.
 
@@ -103,8 +101,8 @@ def statement_table_refs(statement):
     Statements whose lineage rewrite *binds* the written relation — UPDATE,
     DELETE, MERGE, and upserting INSERTs (``ON CONFLICT``) — include that
     target here even though it appears only as a bare name in the AST: the
-    extraction resolves columns against it, so schema snapshots (process
-    workers) and store cache keys must see it.  ``dependencies()`` subtracts
+    extraction resolves columns against it, so schema snapshots (the
+    early-cutoff key) and store cache keys must see it.  ``dependencies()`` subtracts
     the entry's own identifier, so this never creates a self-dependency.
     """
     referenced = set()
@@ -254,7 +252,7 @@ class DependencyDAG:
 
     # ------------------------------------------------------------------
     def waves(self):
-        """Layer the DAG into parallel-safe waves (Kahn's algorithm by level).
+        """Layer the DAG into dependency waves (Kahn's algorithm by level).
 
         Returns ``(waves, deferred)``: ``waves`` is a list of lists of
         identifiers — every entry in wave *k* depends only on entries in

@@ -32,8 +32,8 @@ class UnknownRelationError(LineageError):
 
     def __reduce__(self):
         # default exception pickling would re-init with the formatted message
-        # as ``relation``; process-pool workers hand this error back to the
-        # scheduler, so the attributes must survive the round trip
+        # as ``relation``: a round trip would silently give an error whose
+        # attributes are wrong
         return (type(self), (self.relation, self.reason))
 
 

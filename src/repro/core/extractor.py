@@ -94,40 +94,6 @@ class CatalogSchemaProvider(SchemaProvider):
         return table.column_names()
 
 
-class MappingSchemaProvider(SchemaProvider):
-    """A provider over a plain ``{relation: [columns]}`` snapshot.
-
-    This is the *pure* provider behind wave-parallel extraction: the
-    scheduler snapshots the schemas visible to one statement (results of
-    already-extracted entries plus catalog tables) into a plain dict, so
-    the whole extraction job — provider included — pickles cleanly into a
-    worker process and touches no shared mutable state.
-
-    ``pending`` names relations that *will* be defined by a
-    not-yet-processed Query Dictionary entry; looking one up raises
-    :class:`UnknownRelationError` exactly like the live scheduler provider,
-    which the scheduler turns into a deferral-stack fallback.  ``current``
-    is the identifier being extracted (a self-reference is never treated
-    as a missing dependency).
-    """
-
-    def __init__(self, schemas, pending=frozenset(), current=None):
-        self.schemas = dict(schemas)
-        self.pending = frozenset(pending)
-        self.current = current
-
-    def get_columns(self, name):
-        name = normalize_name(name)
-        columns = self.schemas.get(name)
-        if columns is not None:
-            return list(columns)
-        if name in self.pending and name != self.current:
-            raise UnknownRelationError(
-                name, reason="defined by a not-yet-processed query"
-            )
-        return None
-
-
 # ----------------------------------------------------------------------
 # Tracing (used by the Figure 4 benchmark and the tests)
 # ----------------------------------------------------------------------

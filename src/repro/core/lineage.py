@@ -136,7 +136,7 @@ class TableLineage:
 
     def __getstate__(self):
         # weak observer references are neither picklable nor meaningful in
-        # another process; a worker-returned copy starts unsubscribed (and
+        # another process; an unpickled copy starts unsubscribed (and
         # re-derives its record on first use)
         state = dict(self.__dict__)
         state.pop("_observers", None)

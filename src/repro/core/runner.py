@@ -229,8 +229,6 @@ class LineageXRunner:
         collect_traces=False,
         id_generator=None,
         mode="dag",
-        workers=None,
-        executor="thread",
         store=None,
         dialect="postgres",
         stream=False,
@@ -241,8 +239,6 @@ class LineageXRunner:
         self.collect_traces = collect_traces
         self.id_generator = id_generator
         self.mode = mode
-        self.workers = workers
-        self.executor = executor
         #: optional :class:`repro.store.LineageStore`; when set, extraction
         #: consults it before scheduling and persists new results after.
         self.store = store
@@ -250,9 +246,9 @@ class LineageXRunner:
         #: streaming mode for statement counts beyond what comfortably fits
         #: in memory as ASTs: preprocessing consumes the source lazily (it
         #: may be a generator) and drops each cold-parsed AST immediately,
-        #: extraction re-materialises ASTs wave by wave and releases them
-        #: after recording, and parallel waves ship as shard-routed batches.
-        #: Results are byte-identical to the default mode.
+        #: and extraction re-materialises ASTs wave by wave and releases
+        #: them after recording.  Results are byte-identical to the default
+        #: mode.
         self.stream = stream
 
     # ------------------------------------------------------------------
@@ -530,11 +526,6 @@ class LineageXRunner:
                 store, query_dictionary, catalog, dag, seed_results, seed_origins,
                 candidates or {},
             )
-        shard_router = None
-        if self.stream and store is not None:
-            shard_of = getattr(store, "shard_of", None)
-            if shard_of is not None:
-                shard_router = lambda entry: shard_of(entry.content_hash)  # noqa: E731
         scheduler = AutoInferenceScheduler(
             query_dictionary,
             catalog=catalog,
@@ -542,15 +533,11 @@ class LineageXRunner:
             use_stack=self.use_stack,
             collect_traces=self.collect_traces,
             mode=self.mode,
-            workers=self.workers,
-            executor=self.executor,
             seed_results=seed_results,
             seed_origins=seed_origins,
             candidates=candidates,
             dag=dag,
             release_asts=self.stream,
-            wave_batching=self.stream,
-            shard_router=shard_router,
         )
         graph, report = scheduler.run()
         self._attach_base_tables(graph, catalog, previous, schema_changed)
@@ -833,7 +820,6 @@ def lineagex(
     collect_traces=False,
     output_dir=None,
     mode="dag",
-    workers=None,
 ):
     """Extract column-level lineage from SQL (the paper's one-call API).
 
@@ -859,13 +845,6 @@ def lineagex(
         ``"dag"`` (default) plans a dependency DAG and extracts in
         topological waves; ``"stack"`` reproduces the paper's purely
         reactive LIFO-deferral behaviour.
-    workers:
-        In DAG mode, extract independent entries of each wave on a thread
-        pool of this size (``None``/1 = sequential).  Results are identical
-        for any worker count.  Note the extraction is pure-Python and
-        CPU-bound, so on GIL-bound CPython builds threads yield little
-        wall-clock benefit — the option exists for free-threaded builds and
-        as the seam for a future process-based backend.
 
     Returns
     -------
@@ -894,7 +873,6 @@ def lineagex(
             use_stack=use_stack,
             collect_traces=collect_traces,
             mode=mode,
-            workers=workers,
         ),
     )
     result = session.extract()

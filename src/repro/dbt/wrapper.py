@@ -16,7 +16,6 @@ def lineagex_dbt(
     use_stack=True,
     collect_traces=False,
     mode="dag",
-    workers=None,
 ):
     """Run LineageX over a dbt project.
 
@@ -27,10 +26,10 @@ def lineagex_dbt(
         in-memory ``{model_name: raw_sql}`` mapping.
     catalog:
         Optional :class:`repro.catalog.Catalog` with the source-table schemas.
-    strict / use_stack / collect_traces / mode / workers:
+    strict / use_stack / collect_traces / mode:
         Extraction options, identical to :func:`repro.core.runner.lineagex`
-        (historically ``mode``, ``workers`` and ``collect_traces`` were
-        silently dropped by this wrapper; they are forwarded now).
+        (historically ``mode`` and ``collect_traces`` were silently dropped
+        by this wrapper; they are forwarded now).
     output_dir:
         When given, write ``lineagex.json`` and ``lineagex.html`` there.
 
@@ -52,7 +51,6 @@ def lineagex_dbt(
             use_stack=use_stack,
             collect_traces=collect_traces,
             mode=mode,
-            workers=workers,
         ),
     )
     result = session.extract()

@@ -2,7 +2,7 @@
 
 Start it from the command line::
 
-    python -m repro serve --cache-dir .lineage-cache --workers 4 \
+    python -m repro serve --cache-dir .lineage-cache \
         --journal-dir .lineage-journal
 
 or embed it::

@@ -54,8 +54,6 @@ class LineageApp:
         *,
         cache_dir=None,
         cache_shards=None,
-        workers=None,
-        executor="thread",
         catalog=None,
         strict=False,
         batch_window=0.010,
@@ -70,13 +68,10 @@ class LineageApp:
             session = LineageSession(
                 catalog=catalog,
                 strict=strict,
-                workers=workers,
-                executor=executor,
                 cache_dir=cache_dir,
                 cache_shards=cache_shards,
             )
         self.session = session
-        self.workers = session.config.workers
         # reads already extracted state if the caller handed over a warm
         # session; otherwise start from an empty generation-0 graph so
         # every endpoint works before the first ingest

@@ -105,7 +105,6 @@ async def handle_stats(app):
     payload = {
         "server": {
             "uptime_seconds": round(app.uptime(), 3),
-            "workers": app.workers,
             "formats": renderer_names(),
         },
         "ingest": app.batcher.stats(),

@@ -6,7 +6,7 @@ and input handling.  :class:`LineageSession` replaces them with a single
 configured object:
 
 >>> import repro
->>> session = repro.LineageSession("models/", workers=4)
+>>> session = repro.LineageSession("models/")
 >>> result = session.extract()               # auto-detected source adapter
 >>> print(result.render("markdown"))         # any registered format
 >>> # ... edit files under models/ ...
@@ -14,12 +14,9 @@ configured object:
 
 With ``cache_dir`` the session keeps a persistent content-addressed
 lineage store, so a *new process* over an unchanged corpus warm-starts by
-splicing every extraction from disk; ``executor="process"`` runs DAG-wave
-extraction on a process pool (true multi-core, byte-identical output):
+splicing every extraction from disk:
 
->>> session = repro.LineageSession(
-...     "models/", cache_dir=".lineage-cache", workers=8, executor="process"
-... )
+>>> session = repro.LineageSession("models/", cache_dir=".lineage-cache")
 
 Three orthogonal axes compose:
 
@@ -49,7 +46,6 @@ from typing import Protocol, runtime_checkable
 from .core.errors import SessionClosedError
 from .core.plan_extractor import PlanModeRunner
 from .core.runner import LineageXRunner
-from .core.scheduler import EXECUTORS
 from .ingest import pending
 from .sources import Source
 
@@ -92,15 +88,6 @@ class SessionConfig:
     mode:
         Static-engine scheduling: ``"dag"`` (topological waves, default) or
         ``"stack"`` (the paper's reactive LIFO deferral).
-    workers:
-        Worker-pool width for DAG-wave extraction (``None``/1 = sequential).
-        Must be a positive integer.
-    executor:
-        Wave-parallel backend when ``workers > 1``: ``"thread"`` (default;
-        GIL-bound on stock CPython) or ``"process"`` (a
-        ``ProcessPoolExecutor`` that actually uses the cores; output is
-        byte-identical to serial mode, and environments without working
-        fork/spawn degrade gracefully to threads).
     cache_dir:
         Directory of the persistent content-addressed lineage store.  When
         set, ``extract()``/``refresh()`` splice unchanged statements from
@@ -115,7 +102,7 @@ class SessionConfig:
         ``"static"`` (AST pipeline) or ``"plan"`` (simulated-EXPLAIN
         database-connection mode).  The plan engine validates every
         dependency against the catalog, needs no scheduling plan, and
-        therefore ignores ``mode``/``workers``/``use_stack``.
+        therefore ignores ``mode``/``use_stack``.
     dialect:
         SQL dialect for parsing and identifier folding.  Only
         PostgreSQL semantics are implemented today (``"postgres"``,
@@ -125,10 +112,9 @@ class SessionConfig:
         Bounded-memory extraction for corpora beyond what comfortably
         fits in memory as ASTs (the 100k-statement scale tier):
         preprocessing consumes the source lazily and drops each AST once
-        its parse record exists, extraction re-materialises ASTs wave by
-        wave and releases them after recording, and parallel waves ship
-        as store-shard-routed batches.  Output is byte-identical to the
-        default mode.  Static engine only.
+        its parse record exists, and extraction re-materialises ASTs wave
+        by wave and releases them after recording.  Output is
+        byte-identical to the default mode.  Static engine only.
     cache_shards:
         Shard count for a *newly created* store at ``cache_dir`` (``None``
         = the classic single SQLite file).  An existing store's on-disk
@@ -139,12 +125,10 @@ class SessionConfig:
 
     strict: bool = False
     mode: str = "dag"
-    workers: int = None
     use_stack: bool = True
     collect_traces: bool = False
     engine: str = "static"
     dialect: str = "postgres"
-    executor: str = "thread"
     cache_dir: str = None
     stream: bool = False
     cache_shards: int = None
@@ -157,17 +141,6 @@ class SessionConfig:
         if self.mode not in _MODES:
             raise ValueError(
                 f"unknown scheduling mode {self.mode!r}; expected one of {', '.join(_MODES)}"
-            )
-        if self.workers is not None:
-            if not isinstance(self.workers, int) or isinstance(self.workers, bool) \
-                    or self.workers < 1:
-                raise ValueError(
-                    f"workers must be a positive integer (>= 1), got {self.workers!r}"
-                )
-        if self.executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; expected one of "
-                + ", ".join(EXECUTORS)
             )
         if self.cache_dir is not None:
             try:
@@ -327,8 +300,6 @@ class LineageSession:
             use_stack=self.config.use_stack,
             collect_traces=self.config.collect_traces,
             mode=self.config.mode,
-            workers=self.config.workers,
-            executor=self.config.executor,
             store=self.store,
             dialect=self.config.dialect,
             stream=self.config.stream,

@@ -189,9 +189,8 @@ class _Shard:
 
         Callers must hold ``self.lock``.  Every connection gets WAL journal
         mode (readers never block the writer) and a busy timeout, so
-        concurrent access from several processes — the process executor,
-        parallel sessions over one cache directory — waits for locks
-        instead of erroring out.
+        concurrent access from several processes — parallel sessions over
+        one cache directory — waits for locks instead of erroring out.
         """
         if self.connection is not None or self.broken:
             return self.connection

@@ -201,25 +201,3 @@ class TestDagStackEquivalence:
             diff = diff_graphs(dag_result.graph, stack_result.graph)
             assert diff.is_identical, f"seed {seed}: {diff.summary()}"
 
-
-class TestWaveParallelism:
-    def test_worker_counts_agree(self):
-        warehouse = workload.generate_warehouse(
-            num_base_tables=4, num_views=30, seed=7
-        )
-        source = warehouse.shuffled_script()
-        catalog = warehouse.catalog()
-        sequential = lineagex(source, catalog=catalog)
-        for workers in (1, 4):
-            parallel = lineagex(source, catalog=catalog, workers=workers)
-            diff = diff_graphs(parallel.graph, sequential.graph)
-            assert diff.is_identical, f"workers={workers}: {diff.summary()}"
-            # determinism extends to the report: same order, same waves
-            assert parallel.report.order == sequential.report.order
-            assert parallel.report.waves == sequential.report.waves
-
-    def test_parallel_example1(self):
-        parallel = lineagex(example1.QUERY_LOG, workers=4)
-        sequential = lineagex(example1.QUERY_LOG)
-        assert diff_graphs(parallel.graph, sequential.graph).is_identical
-        assert parallel.report.order == ["webinfo", "webact", "info"]

@@ -532,8 +532,8 @@ class TestEarlyCutoff:
 
     @pytest.mark.parametrize(
         "options",
-        [{"mode": "stack"}, {"workers": 2}, {"stream": True}],
-        ids=["stack", "threads", "stream"],
+        [{"mode": "stack"}, {"stream": True}],
+        ids=["stack", "stream"],
     )
     def test_every_mode_splices_the_same_set(self, options):
         for changes in (KEEP_COLUMNS, REORDER_COLUMNS, ADD_COLUMN):

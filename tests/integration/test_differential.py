@@ -1,10 +1,10 @@
 """Seeded differential cross-mode equivalence harness.
 
-With four execution modes (dag/stack x serial/thread/process), two store
-temperatures (cold/warm), two store layouts (single-file/sharded, plus a
-``migrate`` between them), streaming vs materialized extraction, two
-refresh paths (full/incremental), three ingest front ends (HTTP
-``/extract``, ``repro stream`` and ``session.refresh``, fed poison) and
+With two scheduling modes (dag/stack), two store temperatures
+(cold/warm), two store layouts (single-file/sharded, plus a ``migrate``
+between them), streaming vs materialized extraction, two refresh paths
+(full/incremental), three ingest front ends (HTTP ``/extract``,
+``repro stream`` and ``session.refresh``, fed poison) and
 order-independent planning, the
 cheapest way to trust them all is to prove they *agree*: every generated warehouse — classic templates plus the
 warehouse-DML surface (MERGE, ON CONFLICT upserts, QUALIFY, GROUPING
@@ -27,9 +27,13 @@ import os
 
 import pytest
 
+from repro.core.errors import UnknownRelationError
+from repro.core.extractor import LineageExtractor, SchemaProvider
 from repro.core.runner import LineageXRunner
+from repro.core.scheduler import AutoInferenceScheduler
 from repro.datasets import workload
 from repro.output.csv_output import graph_to_csv
+from repro.sqlparser.dialect import normalize_name
 from repro.store import LineageStore
 
 SMOKE = bool(os.environ.get("DIFFERENTIAL_SMOKE"))
@@ -37,10 +41,6 @@ NUM_SEEDS = int(os.environ.get("DIFFERENTIAL_SEEDS", "3" if SMOKE else "10"))
 NUM_VIEWS = int(os.environ.get("DIFFERENTIAL_VIEWS", "40" if SMOKE else "100"))
 EXTENDED_PROBABILITY = 0.35
 SEEDS = [1300 + index for index in range(NUM_SEEDS)]
-#: the process-executor axis covers every seed (a pool that cannot start
-#: degrades gracefully to threads, so the equivalence assertion holds on
-#: any platform).
-PROCESS_SEEDS = SEEDS
 ARTIFACT_DIR = os.environ.get("DIFFERENTIAL_ARTIFACT_DIR")
 
 
@@ -138,7 +138,7 @@ def _shuffled_sources(warehouse):
 
 
 # ----------------------------------------------------------------------
-# dag vs stack, serial vs thread, original vs shuffled order
+# dag vs stack, original vs shuffled order
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mode_worker_and_order_equivalence(seed):
@@ -147,7 +147,6 @@ def test_mode_worker_and_order_equivalence(seed):
 
     axes = {
         "stack": _run(warehouse, mode="stack"),
-        "threads": _run(warehouse, mode="dag", workers=4, executor="thread"),
         "shuffled": _run(warehouse, sources=_shuffled_sources(warehouse)),
         "shuffled-stack": _run(
             warehouse, sources=_shuffled_sources(warehouse), mode="stack"
@@ -158,14 +157,73 @@ def test_mode_worker_and_order_equivalence(seed):
 
 
 # ----------------------------------------------------------------------
-# process executor (graceful thread degradation keeps this portable)
+# the schema snapshot is the complete input of an extraction
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", PROCESS_SEEDS)
-def test_process_executor_equivalence(seed):
-    warehouse = _warehouse(seed)
-    baseline = _signature(_run(warehouse))
-    result = _run(warehouse, mode="dag", workers=2, executor="process")
-    _assert_equivalent(seed, warehouse, "process", baseline, _signature(result))
+#: statements reading the relation they write resolve it through the
+#: catalog, so their snapshot must carry that schema too
+SELF_READS = {
+    "q1": "CREATE TABLE t (x int, y int); INSERT INTO t SELECT * FROM t",
+    "q2": "CREATE TABLE s (a int); INSERT INTO s SELECT * FROM s",
+}
+
+
+class _SnapshotProvider(SchemaProvider):
+    """Columns from one ``_schema_snapshot`` and nothing else."""
+
+    def __init__(self, schemas, pending):
+        self.schemas = schemas
+        self.pending = pending
+
+    def get_columns(self, name):
+        name = normalize_name(name)
+        if name in self.pending:
+            raise UnknownRelationError(name)
+        columns = self.schemas.get(name)
+        return None if columns is None else list(columns)
+
+
+def _lineage_text(identifier, lineage):
+    lines = [f"{identifier}\tcolumns\t{','.join(lineage.output_columns)}"]
+    lines.extend(
+        f"{identifier}\t{edge.source}\t{edge.target}\t{edge.kind}"
+        for edge in lineage.edges()
+    )
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("seed", SEEDS + ["self-reads"])
+def test_schema_snapshot_is_complete_input(seed, monkeypatch):
+    """Early cutoff splices a candidate whose ``_schema_snapshot`` is
+    unchanged, which is sound only if the snapshot is everything its
+    extraction reads: re-extracting each entry from its snapshot alone,
+    when the live run records it, must give the live run's lineage."""
+    live, replayed = [], []
+    record = AutoInferenceScheduler._record
+
+    def checked_record(scheduler, identifier, lineage, trace, report):
+        schemas, pending = scheduler._schema_snapshot(identifier)
+        extractor = LineageExtractor(
+            provider=_SnapshotProvider(schemas, pending), strict=scheduler.strict
+        )
+        again, _ = extractor.extract_statement(
+            scheduler.query_dictionary.get(identifier)
+        )
+        live.append(_lineage_text(identifier, lineage))
+        replayed.append(_lineage_text(identifier, again))
+        record(scheduler, identifier, lineage, trace, report)
+
+    monkeypatch.setattr(AutoInferenceScheduler, "_record", checked_record)
+    if seed == "self-reads":
+        result = LineageXRunner().run(dict(SELF_READS))
+        assert "t.x" in result.render("csv")
+        assert replayed == live
+    else:
+        warehouse = _warehouse(seed)
+        result = _run(warehouse)
+        _assert_equivalent(
+            seed, warehouse, "snapshot", "\n".join(live), "\n".join(replayed)
+        )
+    assert len(live) == len(result.report.order)
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +249,7 @@ def test_cold_vs_warm_store_equivalence(seed, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# streaming extraction (lazy source, AST release, wave batching)
+# streaming extraction (lazy source, AST release)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 def test_streaming_equivalence(seed):
@@ -200,9 +258,6 @@ def test_streaming_equivalence(seed):
 
     axes = {
         "stream": _run(warehouse, stream=True),
-        "stream-threads": _run(
-            warehouse, stream=True, workers=4, executor="thread"
-        ),
         # a one-shot generator source: the shape the 100k tier feeds in
         "stream-generator": _run(
             warehouse, sources=iter(list(warehouse.views.items())), stream=True

@@ -51,6 +51,13 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["x.sql", "--format", "yaml"])
 
+    @pytest.mark.parametrize("flag, value", [("--workers", "2"), ("--executor", "process")])
+    def test_worker_pool_flags_are_unrecognized(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["extract", "x.sql", flag, value])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestExecution:
     def test_text_output(self, example1_file):
@@ -138,28 +145,56 @@ class TestExecution:
         assert "num_views: 3" in completed.stdout
 
 
-class TestWorkersValidation:
-    def test_zero_workers_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["x.sql", "--workers", "0"])
+#: (command prefix, flag) for every flag parsed by ``cli._positive_int``
+POSITIVE_INT_FLAGS = [
+    (["x.sql"], "--cache-shards"),
+    (["extract", "x.sql"], "--cache-shards"),
+    (["impact", "x.sql", "t.c"], "--max-depth"),
+    (["cache", "gc", "--cache-dir", "d"], "--max-entries"),
+    (["cache", "migrate", "--cache-dir", "d"], "--shards"),
+    (["serve"], "--cache-shards"),
+    (["serve"], "--max-pending"),
+    (["serve"], "--max-batch-statements"),
+    (["stream", "q.jsonl"], "--batch-statements"),
+    (["stream", "q.jsonl"], "--max-batches"),
+    (["stream", "q.jsonl"], "--compact-max-entries"),
+    (["stream", "q.jsonl"], "--compact-every"),
+]
 
-    def test_negative_workers_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["x.sql", "--workers", "-3"])
 
-    def test_non_integer_workers_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["x.sql", "--workers", "many"])
+class TestPositiveIntFlags:
+    @staticmethod
+    def _parse(argv):
+        from repro.cli import SUBCOMMANDS, build_subcommand_parser
 
-    def test_valid_workers_accepted(self):
-        assert build_parser().parse_args(["x.sql", "--workers", "4"]).workers == 4
+        parser = build_subcommand_parser() if argv[0] in SUBCOMMANDS else build_parser()
+        return parser.parse_args(argv)
 
-    def test_subcommand_workers_validated_too(self, capsys):
-        from repro.cli import build_subcommand_parser
-
-        with pytest.raises(SystemExit):
-            build_subcommand_parser().parse_args(["extract", "x.sql", "--workers", "0"])
-        assert "--workers must be >= 1" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("0", "must be >= 1, got 0"),
+            ("-3", "must be >= 1, got -3"),
+            ("many", "expected an integer, got 'many'"),
+            ("4", None),
+        ],
+        ids=["zero", "negative", "non-integer", "valid"],
+    )
+    @pytest.mark.parametrize(
+        "prefix, flag", POSITIVE_INT_FLAGS,
+        ids=[prefix[0] + flag for prefix, flag in POSITIVE_INT_FLAGS],
+    )
+    def test_positive_int_flag(self, prefix, flag, value, message, capsys):
+        if message is None:
+            args = self._parse(prefix + [flag, value])
+            assert getattr(args, flag.lstrip("-").replace("-", "_")) == int(value)
+            return
+        with pytest.raises(SystemExit) as excinfo:
+            self._parse(prefix + [flag, value])
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert f"argument {flag}: {message}" in error
+        assert "--workers" not in error
 
 
 class TestVersionFlag:
@@ -327,17 +362,6 @@ class TestCacheAndExecutorFlags:
         )
         assert code == 0
         assert warm == cold
-
-    def test_executor_process(self, example1_file):
-        code, output = run_cli(
-            "extract", example1_file, "--workers", "2", "--executor", "process"
-        )
-        assert code == 0
-        assert "webinfo (view)" in output
-
-    def test_invalid_executor_rejected(self, example1_file):
-        with pytest.raises(SystemExit):
-            run_cli("extract", example1_file, "--executor", "fiber")
 
     def test_legacy_form_accepts_new_flags(self, example1_file, tmp_path):
         cache_dir = str(tmp_path / "cache")

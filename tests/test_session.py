@@ -24,7 +24,6 @@ class TestSessionConfig:
         config = SessionConfig()
         assert config.engine == "static"
         assert config.mode == "dag"
-        assert config.workers is None
         assert config.use_stack is True
         assert config.collect_traces is False
         assert config.dialect == "postgres"
@@ -48,11 +47,6 @@ class TestSessionConfig:
         with pytest.raises(ValueError, match="unknown scheduling mode"):
             SessionConfig(mode="random")
 
-    @pytest.mark.parametrize("workers", [0, -1, 2.5, True])
-    def test_invalid_workers_rejected(self, workers):
-        with pytest.raises(ValueError, match="positive integer"):
-            SessionConfig(workers=workers)
-
     def test_postgresql_dialect_alias(self):
         assert SessionConfig(dialect="postgresql").dialect == "postgres"
 
@@ -61,9 +55,9 @@ class TestSessionConfig:
             SessionConfig(dialect="tsql")
 
     def test_kwarg_overrides_on_session(self):
-        session = LineageSession(example1.QUERY_LOG, strict=True, workers=2)
+        session = LineageSession(example1.QUERY_LOG, strict=True, mode="stack")
         assert session.config.strict is True
-        assert session.config.workers == 2
+        assert session.config.mode == "stack"
 
     def test_config_plus_overrides(self):
         config = SessionConfig(strict=True)
@@ -229,14 +223,14 @@ class TestShimEquivalence:
         assert session.source.kind == "dbt"
         assert {entry.name for entry in session.extract().graph.views} == {"inner"}
 
-    def test_lineagex_dbt_forwards_workers(self):
+    def test_lineagex_dbt_stack_mode_equals_dag(self):
         models = {
             "stg": "SELECT w.page FROM {{ source('raw', 'web') }} w",
             "rpt": "SELECT s.page FROM {{ ref('stg') }} s",
         }
-        parallel = lineagex_dbt(dict(models), workers=2)
-        sequential = lineagex_dbt(dict(models))
-        assert diff_graphs(parallel.graph, sequential.graph).is_identical
+        stacked = lineagex_dbt(dict(models), mode="stack")
+        planned = lineagex_dbt(dict(models))
+        assert diff_graphs(stacked.graph, planned.graph).is_identical
 
 
 class TestRefresh:
@@ -361,12 +355,7 @@ class TestSessionConveniences:
 class TestCacheAndExecutorConfig:
     def test_defaults(self):
         config = SessionConfig()
-        assert config.executor == "thread"
         assert config.cache_dir is None
-
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            SessionConfig(executor="fiber")
 
     def test_cache_dir_accepts_pathlike(self, tmp_path):
         config = SessionConfig(cache_dir=tmp_path)
@@ -385,18 +374,6 @@ class TestCacheAndExecutorConfig:
         assert store is session.store
         session.close()
         assert session._store is None
-
-    def test_process_executor_through_session(self):
-        sources = {
-            "a": "CREATE VIEW a AS SELECT x, y FROM base",
-            "b": "CREATE VIEW b AS SELECT x FROM a",
-            "c": "CREATE VIEW c AS SELECT y FROM a",
-        }
-        serial = LineageSession(dict(sources)).extract()
-        parallel = LineageSession(
-            dict(sources), workers=2, executor="process"
-        ).extract()
-        assert parallel.render("csv") == serial.render("csv")
 
     def test_refresh_reuses_the_store(self, tmp_path):
         models = tmp_path / "models"
