@@ -1,8 +1,9 @@
 """ABL-STACK — ablation of the Table/View Auto-Inference stack.
 
-DESIGN.md calls out the stack-based deferred processing as the design choice
-to ablate: without it (``use_stack=False``), queries are processed in log
-order and a ``SELECT *`` or unprefixed column over a not-yet-known view
+Section III of the paper presents the stack-based deferred processing as
+the mechanism that resolves references to views defined later in the log;
+this ablation removes it: without it (``use_stack=False``), queries are
+processed in log order and a ``SELECT *`` or unprefixed column over a not-yet-known view
 cannot be resolved — exactly the failure mode of the prior tools in
 Figure 2.  This benchmark quantifies what the stack buys on Example 1 and on
 a shuffled MIMIC workload, and measures its runtime cost.

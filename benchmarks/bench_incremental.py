@@ -8,9 +8,19 @@ cached lineage for everything else.  This benchmark edits a single view in
 generated warehouses of increasing size and reports full-run vs
 single-change-update wall time; the update must re-extract exactly that set
 and be at least 5x faster than the full run at scale.
+
+``test_append_scaling`` times what a served one-view append costs — the
+session refresh plus the snapshot freeze (``SnapshotManager.prepare``) —
+at 1k, 4k and 8k views: the refresh carries the previous result forward
+copy-on-write, so its Python work follows the delta, and the 8k append
+must stay within 1.5x of the 1k one.  ``BENCH_INCREMENTAL_QUICK=1`` runs
+the sweep at a tenth of the scale with the timing gate off (the CI smoke
+step).
 """
 
 import os
+import random
+import statistics
 import time
 
 import pytest
@@ -18,11 +28,24 @@ import pytest
 from repro.analysis.diff import diff_graphs
 from repro.core.runner import LineageXRunner
 from repro.datasets import workload
+from repro.server.snapshot import SnapshotManager
+from repro.session import LineageSession
 
 from _report import emit, table
 
 SWEEP = [50, 100, 200, 400]
 SEED = 97
+QUICK = bool(os.environ.get("BENCH_INCREMENTAL_QUICK"))
+#: corpus sizes of the append sweep, and the appends timed at each
+APPEND_SWEEP = [100, 400, 800] if QUICK else [1000, 4000, 8000]
+APPENDS = 20
+#: the largest size's median append over the smallest's, at most
+APPEND_SCALING_BOUND = 1.5
+
+
+def _timing_gates():
+    """Wall-clock gates run locally and under BENCH_STRICT=1, not on CI."""
+    return not QUICK and (not os.environ.get("CI") or os.environ.get("BENCH_STRICT"))
 
 
 def _setup(num_views):
@@ -133,10 +156,67 @@ def test_incremental_report():
     # Wall-clock assertions are inherently flaky on shared CI runners, so
     # there the structural checks above (exact dirty set, graph equality)
     # stand in; the timing gate runs locally and under BENCH_STRICT=1.
-    if not os.environ.get("CI") or os.environ.get("BENCH_STRICT"):
+    if _timing_gates():
         assert speedups[-1][1] >= 5.0, (
             f"incremental update only {speedups[-1][1]:.1f}x faster at "
             f"{speedups[-1][0]} views"
+        )
+
+
+def _append_times(num_views):
+    """Seconds per one-view append (refresh + prepare) over ``num_views``."""
+    warehouse = workload.generate_warehouse(
+        num_base_tables=max(3, num_views // 50), num_views=num_views, seed=SEED
+    )
+    session = LineageSession(catalog=warehouse.catalog())
+    graph = session.refresh(dict(warehouse.views)).graph
+    snapshots = SnapshotManager(graph)
+    relations = sorted(graph.relations)
+    rng = random.Random(SEED)
+    times = []
+    for index in range(APPENDS):
+        relation = rng.choice(relations)
+        column = rng.choice(graph.columns_of(relation))
+        name = f"bench_append_{index}"
+        sql = f"CREATE VIEW {name} AS SELECT s.{column} AS appended FROM {relation} s"
+        started = time.perf_counter()
+        result = session.refresh({name: sql})
+        snapshot = snapshots.prepare(result.graph, session.statements)
+        times.append(time.perf_counter() - started)
+        snapshots.install(snapshot)
+        assert result.report.order == [name]
+    session.close()
+    return times
+
+
+def test_append_scaling():
+    medians = {}
+    rows = []
+    for num_views in APPEND_SWEEP:
+        times = _append_times(num_views)
+        medians[num_views] = statistics.median(times)
+        quartiles = statistics.quantiles(times, n=4)
+        rows.append(
+            (
+                num_views,
+                f"{medians[num_views] * 1000:.2f}",
+                f"{quartiles[0] * 1000:.2f}-{quartiles[2] * 1000:.2f}",
+                f"{medians[num_views] / medians[APPEND_SWEEP[0]]:.2f}x",
+            )
+        )
+    lines = table(["#views", "append median (ms)", "IQR (ms)", "vs smallest"], rows)
+    lines.append("")
+    lines.append(
+        f"One-view append: session.refresh + SnapshotManager.prepare, median "
+        f"of {APPENDS}; the largest size must stay within "
+        f"{APPEND_SCALING_BOUND}x of the smallest."
+    )
+    emit("incremental_scaling", "Incremental — one-view append vs corpus size", lines)
+    ratio = medians[APPEND_SWEEP[-1]] / medians[APPEND_SWEEP[0]]
+    if _timing_gates():
+        assert ratio <= APPEND_SCALING_BOUND, (
+            f"a one-view append at {APPEND_SWEEP[-1]} views costs {ratio:.2f}x "
+            f"the one at {APPEND_SWEEP[0]}"
         )
 
 

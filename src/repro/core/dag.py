@@ -14,8 +14,16 @@ orders of magnitude cheaper than full extraction.  It backs two features:
 * the scheduler's *plan-first* mode — topologically sort the Query
   Dictionary into :meth:`waves` and extract in dependency order, so the
   deferral stack is only ever needed for references the pre-pass cannot see;
-* incremental re-extraction — :meth:`transitive_dependents` is the dirty
-  set of a source change.
+* incremental re-extraction — ``readers`` names who must look again when a
+  relation's column list changes, and :meth:`transitive_dependents` is the
+  eager dirty set of the stack-less ablation.
+
+An incremental run patches the previous DAG instead of rebuilding it
+(:meth:`DependencyDAG.from_query_dictionary` with ``previous``): the rows
+of the changed entries are replaced copy-on-write, and only the nodes
+downstream of a changed dependency row get a new :attr:`level`, so the
+patch costs what the delta touches; :meth:`waves` is derived from the
+levels only when asked for.
 
 The pre-pass deliberately over-approximates (it collects every table
 reference under a statement, including those inside subqueries); an
@@ -147,7 +155,10 @@ class DependencyDAG:
     relation name — internal or external base table — to the identifiers
     that read it.  The latter powers incremental invalidation: dependents of
     a *removed* relation still need re-extraction even though the relation
-    is no longer a node.
+    is no longer a node.  ``level`` is each node's wave: 0 without internal
+    dependencies, else one more than the deepest relation it reads; nodes on
+    or downstream of a dependency cycle have none.  Ordering entries by
+    ``(level, Query Dictionary position)`` is the order of :meth:`waves`.
     """
 
     def __init__(self):
@@ -156,10 +167,9 @@ class DependencyDAG:
         self.dependents = {}       # identifier -> set of internal identifiers reading it
         self.readers = {}          # any relation name -> set of identifiers reading it
         self.references = {}       # identifier -> every relation name it reads
+        self.level = {}            # identifier -> wave index (absent: cyclic)
         self._waves_cache = None   # memoized waves() result (the DAG is
-                                   # immutable once built, and the runner
-                                   # consults the plan repeatedly: store
-                                   # splicing, scheduling, stats)
+                                   # immutable once built)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -170,13 +180,14 @@ class DependencyDAG:
         — only the identifiers in ``changed`` (added, replaced or removed
         since) are walked: the result is ``previous`` with their rows, and
         the rows of the relations they read, replaced copy-on-write; every
-        other row is shared.  DAGs are never edited once built, which is
-        what makes the sharing sound.
+        other row is shared, and only the levels of nodes downstream of a
+        changed dependency row are recomputed.  DAGs are never edited once
+        built, which is what makes the sharing sound.
         """
         if previous is not None:
             return previous._patched(query_dictionary, changed)
         dag = cls()
-        dag.nodes = list(query_dictionary.identifiers())
+        dag.nodes = list(query_dictionary.entries)
         node_set = set(dag.nodes)
         for identifier in dag.nodes:
             dag.dependencies[identifier] = set()
@@ -189,6 +200,7 @@ class DependencyDAG:
                 if name in node_set:
                     dag.dependencies[identifier].add(name)
                     dag.dependents[name].add(identifier)
+        dag.level = dag._levels()
         return dag
 
     def _patched(self, query_dictionary, changed):
@@ -196,11 +208,11 @@ class DependencyDAG:
         :meth:`from_query_dictionary`)."""
         entries = query_dictionary.entries
         dag = DependencyDAG()
-        dag.nodes = query_dictionary.identifiers()
-        dag.references = references = dict(self.references)
-        dag.readers = readers = dict(self.readers)
-        dag.dependencies = dependencies = dict(self.dependencies)
-        dag.dependents = dependents = dict(self.dependents)
+        dag.nodes = list(entries)
+        dag.references = references = self.references.copy()
+        dag.readers = readers = self.readers.copy()
+        dag.dependencies = dependencies = self.dependencies.copy()
+        dag.dependents = dependents = self.dependents.copy()
         copied = set()  # reader rows this patch already copied
 
         def reader_row(name):
@@ -214,6 +226,7 @@ class DependencyDAG:
         # relation that became (or stopped being) a node
         stale_dependencies = set()
         stale_dependents = set()
+        removed = []
         for identifier in changed:
             entry = entries.get(identifier)
             old = self.references.get(identifier, ())
@@ -231,6 +244,8 @@ class DependencyDAG:
                 references.pop(identifier, None)
                 dependencies.pop(identifier, None)
                 dependents.pop(identifier, None)
+                if was_node:
+                    removed.append(identifier)
             else:
                 references[identifier] = new
                 stale_dependencies.add(identifier)
@@ -240,15 +255,91 @@ class DependencyDAG:
         for name in copied:
             if not readers[name]:
                 del readers[name]
+        moved = []  # nodes whose set of internal dependencies changed
         for identifier in stale_dependencies:
             if identifier in entries:
-                dependencies[identifier] = {
-                    name for name in references[identifier] if name in entries
-                }
+                row = {name for name in references[identifier] if name in entries}
+                if row != self.dependencies.get(identifier):
+                    moved.append(identifier)
+                dependencies[identifier] = row
         for name in stale_dependents:
             if name in entries:
                 dependents[name] = set(readers.get(name, ()))
+        dag.level = self._relevelled(dag, moved, removed)
         return dag
+
+    def _relevelled(self, dag, moved, removed):
+        """``dag``'s levels, from this DAG's and the ``moved`` nodes.
+
+        Only the moved nodes and what lies downstream of them can change
+        level; they are re-layered by Kahn's algorithm over that region.
+        A region that holds a cyclic node, reads one, or closes a new cycle
+        touches a cycle, and the levels are then recomputed from scratch.
+        """
+        level = self.level
+        if not moved and not removed:
+            return level
+        level = level.copy()
+        for identifier in removed:
+            level.pop(identifier, None)
+        region = set()
+        frontier = list(moved)
+        while frontier:
+            identifier = frontier.pop()
+            if identifier in region:
+                continue
+            if identifier in self.dependencies and identifier not in level:
+                return dag._levels()  # a node on or below a cycle
+            region.add(identifier)
+            frontier.extend(dag.dependents[identifier])
+        indegree = {}
+        ready = []
+        for identifier in region:
+            count = 0
+            for name in dag.dependencies[identifier]:
+                if name in region:
+                    count += 1
+                elif name not in level:
+                    return dag._levels()  # reads a cyclic node
+            indegree[identifier] = count
+            if not count:
+                ready.append(identifier)
+        done = 0
+        while ready:
+            identifier = ready.pop()
+            done += 1
+            level[identifier] = 1 + max(
+                (level[name] for name in dag.dependencies[identifier]), default=-1
+            )
+            for dependent in dag.dependents[identifier]:
+                if dependent in indegree:
+                    indegree[dependent] -= 1
+                    if not indegree[dependent]:
+                        ready.append(dependent)
+        if done < len(region):
+            return dag._levels()  # the change closed a cycle
+        return level
+
+    def _levels(self):
+        """Every node's level, by Kahn's algorithm by level."""
+        indegree = {
+            identifier: len(dependencies)
+            for identifier, dependencies in self.dependencies.items()
+        }
+        current = [identifier for identifier in self.nodes if not indegree[identifier]]
+        level = {}
+        depth = 0
+        while current:
+            ready = []
+            for identifier in current:
+                level[identifier] = depth
+                for dependent in self.dependents[identifier]:
+                    indegree[dependent] -= 1
+                    if indegree[dependent] == 0:
+                        ready.append(dependent)
+            current = ready
+            depth += 1
+        return level
 
     # ------------------------------------------------------------------
     def waves(self):
@@ -261,37 +352,23 @@ class DependencyDAG:
         because they sit on (or downstream of) a dependency cycle.  Both are
         deterministic: Query Dictionary insertion order breaks all ties.
 
-        The layering is computed once and memoized (the DAG never changes
-        after :meth:`from_query_dictionary`); callers get fresh outer
-        lists, so mutating a returned plan cannot corrupt the memo.
+        Wave *k* holds the nodes of :attr:`level` *k*.  The layering is
+        computed once and memoized (the DAG never changes after
+        :meth:`from_query_dictionary`); callers get fresh outer lists, so
+        mutating a returned plan cannot corrupt the memo.
         """
-        if self._waves_cache is not None:
-            waves, deferred = self._waves_cache
-            return [list(wave) for wave in waves], list(deferred)
-        position = {identifier: index for index, identifier in enumerate(self.nodes)}
-        indegree = {
-            identifier: len(self.dependencies[identifier]) for identifier in self.nodes
-        }
-        current = sorted(
-            (identifier for identifier in self.nodes if indegree[identifier] == 0),
-            key=position.__getitem__,
-        )
-        waves = []
-        scheduled = 0
-        while current:
-            waves.append(current)
-            scheduled += len(current)
-            ready = []
-            for identifier in current:
-                for dependent in self.dependents[identifier]:
-                    indegree[dependent] -= 1
-                    if indegree[dependent] == 0:
-                        ready.append(dependent)
-            current = sorted(ready, key=position.__getitem__)
-        deferred = [
-            identifier for identifier in self.nodes if indegree[identifier] > 0
-        ]
-        self._waves_cache = (waves, deferred)
+        if self._waves_cache is None:
+            level = self.level
+            waves = [[] for _ in range(1 + max(level.values(), default=-1))]
+            deferred = []
+            for identifier in self.nodes:
+                depth = level.get(identifier)
+                if depth is None:
+                    deferred.append(identifier)
+                else:
+                    waves[depth].append(identifier)
+            self._waves_cache = (waves, deferred)
+        waves, deferred = self._waves_cache
         return [list(wave) for wave in waves], list(deferred)
 
     def topological_order(self):

@@ -76,48 +76,50 @@ class TableLineage:
     # Mutation notification
     # ------------------------------------------------------------------
     def _bump(self):
-        """Record a mutation and notify every subscribed graph.
+        """Record a mutation and notify every graph holding this entry.
 
         Entries can be mutated *after* being added to a graph (base tables
         gain columns from usage) and one entry may live in several graphs at
         once (incremental splicing shares :class:`TableLineage` objects
         between the previous and the new result).  Each mutation pushes an
-        O(1) invalidation to every subscriber instead of graphs polling
-        every entry's counter on each traversal.
+        O(1) invalidation to every subscribed graph family instead of
+        graphs polling every entry's counter on each traversal.
         """
         self._version += 1
         observers = self.__dict__.get("_observers")
         if observers:
             alive = [ref for ref in observers if ref() is not None]
             for ref in alive:
-                ref()._invalidate()
+                ref().entry_changed(self)
             if len(alive) != len(observers):
                 self.__dict__["_observers"] = alive
 
-    def _subscribe(self, graph):
-        """Register ``graph`` for mutation notifications (weakly, once).
+    def _subscribe(self, family):
+        """Register a graph ``family`` for mutation notifications (weakly,
+        once).
 
-        References to graphs that no longer exist are dropped on the way,
-        so an entry spliced into a new graph on every refresh holds one
-        reference per live graph, not one per graph it ever joined.
+        A family is every live graph derived from one another, so an entry
+        spliced into each refresh's graph subscribes once, when it first
+        joins.  References to families that no longer exist are dropped on
+        the way.
         """
         observers = self.__dict__.setdefault("_observers", [])
         stale = False
         for ref in observers:
             target = ref()
-            if target is graph:
+            if target is family:
                 return
             if target is None:
                 stale = True
         if stale:
             observers[:] = [ref for ref in observers if ref() is not None]
-        observers.append(weakref.ref(graph))
+        observers.append(weakref.ref(family))
 
     def _record(self):
         """This entry's :data:`EntryRecord`, cached per ``_version``.
 
         A new record object is made only when the entry changed, so a graph
-        index tells unchanged entries apart by identity alone (see
+        index patch skips entries whose record it already holds (see
         :meth:`_GraphIndex.patched`).  This is sound only because entries
         change through the ``add_*`` methods, which bump ``_version``; code
         that assigns fields directly must do so before anything reads them.
@@ -345,7 +347,7 @@ def _patch_rows(table, dropped, gained):
         return table
     if not table:
         return gained  # a build from empty: the new rows are the table
-    table = dict(table)
+    table = table.copy()
     for key, others in dropped.items():
         row = dict(table[key])
         for other in others:
@@ -367,14 +369,15 @@ class _GraphIndex:
     Shared by every traversal consumer: ``edges()``, ``table_edges()``,
     ``neighbors()``, the impact analysis, the dependency-ordering reports
     and the reachability index.  An index is immutable once built.  The
-    index of the next graph state is this one :meth:`patched`: only the rows
-    of entries whose :data:`EntryRecord` changed are replaced, and every
-    other row is shared with this index (copy-on-write).  A full build is
-    the same patch applied to the empty index.
+    index of the next graph state is this one :meth:`patched` with the
+    names the graph recorded as changed: only their rows are replaced, and
+    every other row is shared with this index (copy-on-write).  A full
+    build is the same patch applied to the empty index.
     """
 
     __slots__ = (
         "records",          # relation name -> EntryRecord, in relation order
+        "position",         # relation name -> rank in relation order
         "forward",          # ColumnName -> {ColumnName: kind} (source -> targets)
         "reverse",          # ColumnName -> {ColumnName: kind} (target -> sources)
         "table_forward",    # table -> [downstream tables], in relation order
@@ -382,12 +385,14 @@ class _GraphIndex:
         "counts",           # tuple of the _COUNT_KEYS statistics
         "base_records",     # the ``records`` this index was patched from
         "changed",          # names whose record differs from base_records'
+        "_next",            # the next free ``position``
         "_edges",           # list[ColumnEdge], built on first read
         "_table_edges",     # list[(source_table, target_table)], likewise
     )
 
     def __init__(self):
         self.records = {}
+        self.position = {}
         self.forward = {}
         self.reverse = {}
         self.table_forward = {}
@@ -395,6 +400,7 @@ class _GraphIndex:
         self.counts = (0,) * len(_COUNT_KEYS)
         self.base_records = None
         self.changed = ()
+        self._next = 0
         self._edges = None
         self._table_edges = None
 
@@ -420,47 +426,48 @@ class _GraphIndex:
             ]
         return pairs
 
-    def patched(self, relations):
+    def patched(self, relations, changes):
         """The index of ``relations``, derived from this one.
 
-        Entries whose record is the one this index holds (by identity) are
-        not looked at again.  For the others, the column rows their old and
-        new edges touch and the table rows their old and new sources touch
-        are copied and edited; all other rows are shared.  Readers in a
-        table row follow relation order, so a row is also re-sorted when one
-        of its readers moved relative to the others.  Returns ``self`` when
-        nothing changed.
+        ``changes`` maps every name added, replaced, removed or mutated
+        since this index to ``True`` when it left ``relations`` and came
+        back (it then sits at the end of the relation order), else
+        ``False``; no other entry is looked at.  For the names whose record
+        changed, the column rows their old and new edges touch and the
+        table rows their old and new sources touch are copied and edited;
+        all other rows are shared.  Readers in a table row follow relation
+        order, so the rows of a name that moved are re-sorted too.
         """
         base = self.records
-        records = {}
+        records = base.copy()
+        position = None
         changed = []
-        added = 0
-        for name, entry in relations.items():
-            record = records[name] = entry._record()
-            old = base.get(name)
-            if old is not record:
-                changed.append(name)
-                added += old is None
-        if len(records) - added < len(base):
-            changed.extend(name for name in base if name not in records)
-
-        # table rows list readers in relation order; a reader whose sources
-        # are unchanged may still have moved relative to the others
-        position = {name: index for index, name in enumerate(records)}
         moved = []
-        last = -1
-        for name, old in base.items():
-            record = records.get(name)
-            if not old.sources or record is None or (
-                record is not old and record.sources != old.sources
-            ):
-                continue  # in no row, or its rows are rebuilt below anyway
-            if position[name] > last:
-                last = position[name]
-            else:
+        next_position = self._next
+        for name, came_back in changes.items():
+            entry = relations.get(name)
+            old = base.get(name)
+            if entry is None:
+                if old is not None:
+                    del records[name]
+                    changed.append(name)
+                continue
+            record = entry._record()
+            if old is not None and not came_back:
+                if record is not old:
+                    records[name] = record
+                    changed.append(name)
+                continue
+            if position is None:
+                position = self.position.copy()
+            if old is not None:
+                del records[name]  # re-appended: it moved to the end
                 moved.append(name)
-        if not changed and not moved:
-            return self
+            records[name] = record
+            position[name] = next_position
+            next_position += 1
+            if record is not old:
+                changed.append(name)
 
         counts = list(self.counts)
         dropped, gained = ({}, {}), ({}, {})  # (forward, reverse) row edits
@@ -490,9 +497,16 @@ class _GraphIndex:
         for name in moved:
             dirty_rows.update(records[name].sources)
 
+        if position is None:
+            position = self.position
+        for name in changed:
+            if name not in records:
+                if position is self.position:
+                    position = position.copy()
+                del position[name]
         table_forward, table_reverse = self.table_forward, self.table_reverse
         if dirty_rows:
-            table_forward, table_reverse = dict(table_forward), dict(table_reverse)
+            table_forward, table_reverse = table_forward.copy(), table_reverse.copy()
             arriving = {}
             for name, sources in readers_changed.items():
                 for source in sources:
@@ -515,6 +529,8 @@ class _GraphIndex:
 
         index = _GraphIndex()
         index.records = records
+        index.position = position
+        index._next = next_position
         index.forward = _patch_rows(self.forward, dropped[0], gained[0])
         index.reverse = _patch_rows(self.reverse, dropped[1], gained[1])
         index.table_forward = table_forward
@@ -529,6 +545,35 @@ class _GraphIndex:
 _EMPTY_INDEX = _GraphIndex()
 
 
+class _Family:
+    """The live graphs derived from one another (see
+    :meth:`LineageGraph.derive`); they share most of their entries.
+
+    An entry subscribes to the family once, and a mutation of it reaches
+    every member graph that holds it, however many graphs the entry has
+    been spliced into.
+    """
+
+    __slots__ = ("graphs", "__weakref__")
+
+    def __init__(self):
+        self.graphs = weakref.WeakSet()
+
+    def entry_changed(self, entry):
+        for graph in list(self.graphs):
+            if graph.relations.get(entry.name) is entry:
+                graph._note(entry.name)
+
+
+def _mark(changes, name, moved):
+    """Record ``name`` in a change set; a moved name goes to its end."""
+    if moved:
+        changes.pop(name, None)
+        changes[name] = True
+    else:
+        changes.setdefault(name, False)
+
+
 class LineageGraph:
     """The combined lineage of a set of queries (one warehouse).
 
@@ -536,11 +581,15 @@ class LineageGraph:
     forward/reverse column adjacency index.  The index is built lazily on
     the first traversal and invalidated automatically on mutation — both
     structural mutation (:meth:`add`, :meth:`ensure_base_table`) and
-    in-place mutation of an already-added :class:`TableLineage` (tracked
-    through its ``_version`` counter) — after which the next traversal
-    patches it for the entries that changed.  Hot-path consumers
+    in-place mutation of an already-added :class:`TableLineage` (which
+    notifies its graphs) — after which the next traversal patches it for
+    the names the graph recorded as changed.  Hot-path consumers
     (``edges()``, ``neighbors()``, the impact analysis, dependency
     ordering) therefore never re-derive the edge set per call.
+
+    An incremental refresh does not rebuild the graph: :meth:`derive`
+    copies the relation map (one C-level dict copy) and the refresh
+    replaces only the entries it changed, which the new graph records.
     """
 
     def __init__(self):
@@ -548,13 +597,21 @@ class LineageGraph:
         self._mutations = 0
         self._index = None
         self._index_token = None
+        #: name -> moved flag for everything changed since ``_index`` (see
+        #: :meth:`_GraphIndex.patched`); unused while there is no index
+        self._pending = {}
+        self._family = None
         self._reach = None
         self._reach_token = None
 
     # ------------------------------------------------------------------
     # Index maintenance
     # ------------------------------------------------------------------
-    def _invalidate(self):
+    def _note(self, name, moved=False):
+        """Record that the relation ``name`` changed (``moved``: it left the
+        relation map and came back, to its end)."""
+        if self._index is not None:
+            _mark(self._pending, name, moved)
         self._mutations += 1
 
     def _state_token(self):
@@ -571,9 +628,44 @@ class LineageGraph:
         token = self._state_token()
         if self._index is None or self._index_token != token:
             # a stale index is still a valid base: it is never edited in place
-            self._index = (self._index or _EMPTY_INDEX).patched(self.relations)
+            if self._index is None:
+                self._index = _EMPTY_INDEX.patched(
+                    self.relations, dict.fromkeys(self.relations, False)
+                )
+            else:
+                self._index = self._index.patched(self.relations, self._pending)
             self._index_token = token
+            self._pending = {}
         return self._index
+
+    def _family_of(self):
+        family = self._family
+        if family is None:
+            family = self._family = _Family()
+            family.graphs.add(self)
+        return family
+
+    def derive(self):
+        """A new graph holding the same entries, to apply a delta to.
+
+        The relation map is copied (C-level) and the entries are shared by
+        reference, as is this graph's index; the new graph records every
+        name changed from here on, so its index (and its snapshot's) is
+        patched for those names only.
+        """
+        graph = LineageGraph.__new__(LineageGraph)
+        graph.relations = self.relations.copy()
+        graph._mutations = 0
+        graph._index = self._index
+        graph._index_token = 0
+        graph._pending = self._pending.copy()
+        if self._index is not None and self._index_token != self._mutations:
+            graph._index_token = None  # stale here already: patch it on use
+        graph._family = self._family_of()
+        graph._family.graphs.add(graph)
+        graph._reach = None
+        graph._reach_token = None
+        return graph
 
     def reachability(self, build=True):
         """The version-stamped :class:`~repro.analysis.reach.ReachabilityIndex`.
@@ -607,19 +699,23 @@ class LineageGraph:
     # ------------------------------------------------------------------
     def add(self, lineage):
         """Add (or replace) the lineage entry for one relation."""
-        self.relations[lineage.name] = lineage
-        lineage._subscribe(self)
-        self._invalidate()
+        name = lineage.name
+        moved = name not in self.relations and name in self._pending
+        self.relations[name] = lineage
+        lineage._subscribe(self._family_of())
+        self._note(name, moved)
         return lineage
+
+    def discard(self, name):
+        """Remove the entry of relation ``name``, if any."""
+        if self.relations.pop(name, None) is not None:
+            self._note(name)
 
     def ensure_base_table(self, name, columns=()):
         """Ensure a base-table node exists, adding any newly seen columns."""
         entry = self.relations.get(name)
         if entry is None:
-            entry = TableLineage(name=name, is_base_table=True)
-            self.relations[name] = entry
-            entry._subscribe(self)
-            self._invalidate()
+            entry = self.add(TableLineage(name=name, is_base_table=True))
         for column in columns:
             entry.add_output_column(column)
         return entry
@@ -847,13 +943,13 @@ class FrozenLineageGraph(LineageGraph):
     """A read-only point-in-time view over a :class:`LineageGraph`.
 
     Construction copies the relation *mapping* (not the entries: the
-    engine's no-in-place-mutation discipline — every run and every
-    incremental refresh assembles a fresh graph, splicing unmodified
-    entries by reference — makes sharing :class:`TableLineage` objects
-    safe) and builds the adjacency index eagerly.  The index is pinned:
-    observer notifications from shared entries never invalidate it, so
-    every traversal a reader starts completes against the exact edge set
-    that existed when the snapshot was taken.
+    engine's no-in-place-mutation discipline — every run assembles a fresh
+    graph and every incremental refresh derives a new one, sharing
+    unmodified entries by reference — makes sharing :class:`TableLineage`
+    objects safe) and builds the adjacency index eagerly.  The index is
+    pinned: a frozen view joins no graph family, so mutations of shared
+    entries never reach it, and every traversal a reader starts completes
+    against the exact edge set that existed when the snapshot was taken.
 
     All mutating methods raise :class:`FrozenGraphError`.  Derived views
     (:meth:`LineageGraph.subgraph`) return ordinary mutable graphs.
@@ -862,21 +958,15 @@ class FrozenLineageGraph(LineageGraph):
     def __init__(self, graph, reach_seed=None):
         from ..analysis.reach import ReachabilityIndex
 
-        self.relations = dict(graph.relations)
+        self.relations = graph.relations.copy()
         self._mutations = 0
-        # reuse the source graph's caches when they match its current
-        # state: both index classes are replaced wholesale on mutation,
-        # never edited in place, so sharing the objects is safe and makes
-        # freezing an already-indexed graph nearly free
+        # the source graph's index, patched for what changed since it was
+        # built (a derived graph starts from its parent's, which the
+        # previous snapshot's freeze built); both index classes are
+        # replaced wholesale on mutation, never edited in place, so sharing
+        # the objects is safe
         token = graph._state_token()
-        if graph._index is not None and graph._index_token == token:
-            self._index = graph._index
-        else:
-            # patch the previous generation's index: only the entries this
-            # graph does not share with it are looked at again
-            base = reach_seed._graph_index if reach_seed is not None else None
-            base = base or graph._index or _EMPTY_INDEX
-            self._index = base.patched(self.relations)
+        self._index = graph._ensure_index()
         self._index_token = 0
         reach = None
         if graph._reach is not None and graph._reach_token == token:
@@ -895,18 +985,22 @@ class FrozenLineageGraph(LineageGraph):
     def reachability(self, build=True):
         return self._reach
 
-    def _invalidate(self):
-        # shared entries may notify (they are subscribed to the live graph
-        # and, transitively, anything else observing them); a frozen view
-        # ignores it by design — the pinned index IS the snapshot
-        pass
-
     def freeze(self):
         return self
+
+    def derive(self):
+        raise FrozenGraphError(
+            "cannot derive from a frozen lineage graph (snapshot view)"
+        )
 
     def add(self, lineage):
         raise FrozenGraphError(
             "cannot add to a frozen lineage graph (snapshot view)"
+        )
+
+    def discard(self, name):
+        raise FrozenGraphError(
+            "cannot remove from a frozen lineage graph (snapshot view)"
         )
 
     def ensure_base_table(self, name, columns=()):

@@ -192,20 +192,33 @@ class ParsedQuery:
 class QueryDictionary:
     """Ordered mapping from query identifiers to parsed queries.
 
-    Besides the SELECT-bearing entries, the dictionary keeps the plain DDL
-    statements (``CREATE TABLE`` with a column list) it encountered so the
-    runner can seed the schema catalog from them, and a list of warnings for
-    anything that was skipped or replaced.
+    ``entries`` is the order: a dict keeps insertion order, a redefinition
+    moves its identifier to the end, and an incremental merge
+    (:meth:`derive`, then :meth:`put` / :meth:`drop`) replaces an entry in
+    place.  Besides the SELECT-bearing entries, the dictionary keeps the
+    plain DDL statements (``CREATE TABLE`` with a column list) it
+    encountered so the runner can seed the schema catalog from them, and a
+    list of warnings for anything that was skipped or replaced.
     """
 
     def __init__(self):
         self.entries = {}
-        self.order = []
+        #: identifier -> a sequence number that grows with its place in
+        #: ``entries``; ranks a few entries in Query Dictionary order
+        #: without scanning the whole dictionary.
+        self.positions = {}
+        #: named source -> ``{identifier: None}`` of the entries it produced,
+        #: so replacing a source finds what it produced before.
+        self.sources = {}
         self.ddl_statements = []
         #: parallel to ``ddl_statements``: the named source each DDL
         #: statement came from (``None`` for anonymous script input)
         self.ddl_sources = []
         self.warnings = []
+        self._next_position = 0
+        #: the ``sources`` rows this dictionary may edit in place; the
+        #: others are shared with the dictionary it was derived from
+        self._own_rows = set()
 
     # ------------------------------------------------------------------
     def add(self, parsed_query):
@@ -215,10 +228,54 @@ class QueryDictionary:
             self.warnings.append(
                 f"query identifier {identifier!r} redefined; keeping the latest definition"
             )
-            self.order.remove(identifier)
+            self.drop(identifier)
+        return self.put(parsed_query)
+
+    def put(self, parsed_query):
+        """Insert an entry, or replace one of the same identifier in place."""
+        identifier = parsed_query.identifier
+        old = self.entries.get(identifier)
+        if old is None:
+            self.positions[identifier] = self._next_position
+            self._next_position += 1
+        else:
+            self._unlist(old)
         self.entries[identifier] = parsed_query
-        self.order.append(identifier)
+        if parsed_query.source_name is not None:
+            self._row(parsed_query.source_name)[identifier] = None
         return parsed_query
+
+    def drop(self, identifier):
+        """Remove an entry."""
+        self._unlist(self.entries.pop(identifier))
+        del self.positions[identifier]
+
+    def derive(self):
+        """A copy to merge a delta into: entries and source rows are shared,
+        the containers are copied (C-level) and edited copy-on-write."""
+        merged = QueryDictionary()
+        merged.entries = self.entries.copy()
+        merged.positions = self.positions.copy()
+        merged.sources = self.sources.copy()
+        merged.ddl_statements = list(self.ddl_statements)
+        merged.ddl_sources = list(self.ddl_sources)
+        merged.warnings = list(self.warnings)
+        merged._next_position = self._next_position
+        return merged
+
+    def _row(self, source):
+        if source not in self._own_rows:
+            self._own_rows.add(source)
+            self.sources[source] = dict(self.sources.get(source, ()))
+        return self.sources[source]
+
+    def _unlist(self, entry):
+        if entry.source_name is not None:
+            row = self._row(entry.source_name)
+            row.pop(entry.identifier, None)
+            if not row:
+                del self.sources[entry.source_name]
+                self._own_rows.discard(entry.source_name)
 
     def add_ddl(self, statement, source=None):
         """Record a non-query DDL statement (CREATE TABLE / DROP)."""
@@ -239,16 +296,14 @@ class QueryDictionary:
         return len(self.entries)
 
     def __iter__(self):
-        for identifier in self.order:
-            yield self.entries[identifier]
+        return iter(self.entries.values())
 
     def identifiers(self):
         """Identifiers in insertion order."""
-        return list(self.order)
+        return list(self.entries)
 
     def items(self):
-        for identifier in self.order:
-            yield identifier, self.entries[identifier]
+        return iter(self.entries.items())
 
 
 def preprocess(source, id_generator=None, parse_cache=None, retain_asts=True):

@@ -19,8 +19,19 @@ a content hash per Query Dictionary entry, and
 re-extract only the entries whose hash changed, plus those of their
 transitive DAG dependents for which a relation they read changed its column
 list, splicing the cached :class:`TableLineage` for everything else.
+
+Cost model.  A full run (cold, warm from the store, a daemon boot) builds
+every structure from scratch; that is the base case.  An incremental run
+does Python work proportional to the delta — the changed statements and
+the readers whose input column lists changed — not to the corpus: it
+carries the previous result's Query Dictionary, hashes, DAG (with each
+node's level), resolved lineage, base-table usage counts, catalog and graph
+forward as C-level container copies and edits only the delta's rows, and
+the graph it returns records what changed, so the next snapshot's indexes
+are patched from that change set too.
 """
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -28,8 +39,8 @@ from .dag import DependencyDAG
 from .errors import LineageRecordError
 from .extractor import EXTRACTOR_VERSION
 from .lineage import LineageGraph, TableLineage
-from .preprocess import QueryDictionary, preprocess
-from .scheduler import AutoInferenceScheduler
+from .preprocess import preprocess
+from .scheduler import AutoInferenceScheduler, Delta
 from ..catalog.catalog import Catalog
 from ..catalog.introspect import catalog_from_statements
 from ..sqlparser.dialect import normalize_name
@@ -53,6 +64,14 @@ class LineageXResult:
     #: the :class:`~repro.core.dag.DependencyDAG` of ``query_dictionary``
     #: (when the run planned one); the next incremental run patches it.
     dag: object = field(default=None, init=False, repr=False, compare=False)
+    #: identifier -> :class:`TableLineage` of every resolved entry, and
+    #: relation -> {column: number of reads} over those entries: the state
+    #: the next incremental run carries forward copy-on-write.
+    entry_lineage: dict = field(default=None, init=False, repr=False, compare=False)
+    table_usage: dict = field(default=None, init=False, repr=False, compare=False)
+    #: the runner catalog's tables as this run saw them (a schema changed
+    #: there since is a schema change for the next incremental run)
+    catalog_tables: dict = field(default=None, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     def stats(self):
@@ -61,14 +80,10 @@ class LineageXResult:
         stats["num_queries"] = len(self.query_dictionary)
         stats["num_deferrals"] = self.report.deferral_count
         stats["num_unresolved"] = len(self.report.unresolved)
-        stats["num_reused"] = len(getattr(self.report, "reused", ()))
-        reused_from = getattr(self.report, "reused_from", None) or {}
-        stats["num_reused_memory"] = sum(
-            1 for origin in reused_from.values() if origin == "memory"
-        )
-        stats["num_reused_store"] = sum(
-            1 for origin in reused_from.values() if origin == "store"
-        )
+        counts = getattr(self.report, "reused_counts", None) or {}
+        stats["num_reused"] = sum(counts.values())
+        stats["num_reused_memory"] = counts.get("memory", 0)
+        stats["num_reused_store"] = counts.get("store", 0)
         return stats
 
     def to_dict(self):
@@ -297,99 +312,140 @@ class LineageXRunner:
         Dictionary identifier *replaces* that entry, an unknown name *adds*
         new queries, and a value of ``None`` *removes* the entry.  Only the
         changed sources are parsed — every other entry's parsed statement is
-        carried over from ``prev_result`` as-is.  Each entry of the merged
-        dictionary is then content-hashed and compared against
+        carried over from ``prev_result`` as-is.  The entries the merge
+        touched are content-hashed and compared against
         ``prev_result.source_hashes``; genuinely changed or added entries
-        are re-extracted.  Every transitive DAG dependent of a changed,
-        added or removed relation, or of one whose ``CREATE TABLE`` schema
-        changed, is a *candidate*: when the scheduler reaches it, the
-        column lists it would read now are compared with those its previous
-        extraction read, and only a difference re-extracts it (extraction
-        is a pure function of the statement and those column lists).  So
-        an edit that keeps a view's column list re-extracts that view
-        alone.  With ``use_stack=False`` every candidate is re-extracted,
-        as an entry may then run before what it reads.  The cached
-        :class:`TableLineage` of every other entry is spliced into the new
-        graph unchanged.
+        are re-extracted.  When an entry comes out with another column list
+        than last run (or is removed, or its ``CREATE TABLE`` schema
+        changed), each reader of it becomes a *candidate*: when the
+        scheduler reaches it, the column lists it would read now are
+        compared with those its previous extraction read, and only a
+        difference re-extracts it — which may make its own readers
+        candidates in turn (extraction is a pure function of the statement
+        and those column lists).  So an edit that keeps a view's column
+        list re-extracts that view alone.  With ``use_stack=False`` every
+        transitive dependent is re-extracted, as an entry may then run
+        before what it reads.
 
-        The returned result is equivalent to a full :meth:`run` over the
-        merged sources (base tables are re-derived from scratch either
-        way); ``result.report.reused`` lists the spliced identifiers.  One
-        ordering note: DDL in a changed fragment applies *after* all
-        carried-over DDL, like a migration on top of the previous schema —
-        a ``CREATE TABLE`` replaces that relation's prior schema and a
-        ``DROP`` takes effect last, so the equivalent full run is one whose
-        changed sources come after the unchanged ones.
+        Everything else is carried forward copy-on-write: the Query
+        Dictionary, the hashes, the DAG (with each node's level), the
+        resolved lineage, the base-table usage and the graph are C-level
+        copies of the previous ones with only the delta's rows replaced, so
+        a refresh does Python work proportional to the delta, not to the
+        corpus.  The returned result is equivalent to a full :meth:`run`
+        over the merged sources; ``result.report.reused`` lists the spliced
+        identifiers.  One ordering note: DDL in a changed fragment applies
+        *after* all carried-over DDL, like a migration on top of the
+        previous schema — a ``CREATE TABLE`` replaces that relation's prior
+        schema and a ``DROP`` takes effect last, so the equivalent full run
+        is one whose changed sources come after the unchanged ones.
         """
-        query_dictionary, ddl_changed = self._merge_query_dictionary(
+        query_dictionary, ddl_changed, touched = self._merge_query_dictionary(
             prev_result.query_dictionary, changed_sources
         )
-        hashes = {
-            identifier: entry.content_hash
-            for identifier, entry in query_dictionary.items()
-        }
-        prev_hashes = prev_result.source_hashes or {}
-        changed = {
-            identifier
-            for identifier, value in hashes.items()
-            if prev_hashes.get(identifier) != value
-        }
-        removed = set(prev_hashes) - set(hashes)
+        if prev_result.entry_lineage is None:
+            # a result this runner did not produce (the plan engine's)
+            # carries nothing forward: extract the merged dictionary
+            return self._run_scheduler(query_dictionary)
+        entries = query_dictionary.entries
+        prev_hashes = prev_result.source_hashes
+        hashes = prev_hashes.copy()
+        changed, removed = [], []
+        for identifier in touched:
+            entry = entries.get(identifier)
+            if entry is None:
+                if hashes.pop(identifier, None) is not None:
+                    removed.append(identifier)
+            elif prev_hashes.get(identifier) != entry.content_hash:
+                hashes[identifier] = entry.content_hash
+                changed.append(identifier)
         dag = DependencyDAG.from_query_dictionary(
-            query_dictionary, previous=prev_result.dag, changed=changed | removed
+            query_dictionary, previous=prev_result.dag, changed=changed + removed
         )
-        affected = dag.transitive_dependents(changed | removed | ddl_changed)
+        schema_changed = sorted(
+            ddl_changed | self._catalog_drift(prev_result.catalog_tables)
+        )
+        catalog = (
+            self._build_catalog(query_dictionary) if schema_changed else prev_result.catalog
+        )
         # a statement reading the relation it writes is no DAG reader of
         # itself, but its self-read resolves through the changed catalog
-        affected.update(
-            name for name in ddl_changed
-            if name in hashes and name in query_dictionary.get(name).table_refs()
-        )
-        affected = (affected & hashes.keys()) - changed
+        self_readers = [
+            name for name in schema_changed
+            if name in entries and name in entries[name].table_refs()
+        ]
         dirty = changed
         if not self.use_stack:
             # without the stack an entry may be extracted before what it
             # reads, so the inputs it saw are not known: re-extract eagerly
-            dirty, affected = changed | affected, set()
+            affected = dag.transitive_dependents({*changed, *removed, *schema_changed})
+            affected.update(self_readers)
+            dirty = sorted(
+                affected.union(changed) & entries.keys(),
+                key=query_dictionary.positions.__getitem__,
+            )
+        results = prev_result.entry_lineage.copy()
+        unresolved = prev_result.report.unresolved.copy()
+        for identifier in (*dirty, *removed):
+            results.pop(identifier, None)
+            unresolved.pop(identifier, None)
 
-        relations, prev_catalog = prev_result.graph.relations, prev_result.catalog
+        prev_views, prev_catalog = prev_result.entry_lineage, prev_result.catalog
 
         def previous_columns(name):
-            # a view's output, else the catalog's (a base-table node only
-            # accumulates usage; an unresolved entry also ends up as one)
-            lineage = relations.get(name)
-            if lineage is not None and not lineage.is_base_table:
+            # a resolved entry's output, else the catalog's
+            lineage = prev_views.get(name)
+            if lineage is not None:
                 return list(lineage.output_columns)
             table = prev_catalog.get(name) if prev_catalog is not None else None
             return table.column_names() if table is not None else None
 
-        seed_results = {}
-        candidates = {}
-        for identifier, entry in query_dictionary.items():
-            if identifier in dirty:
-                continue
-            cached = relations.get(identifier)
-            if cached is None or cached.is_base_table:
-                # Nothing usable to splice (e.g. the entry was unresolved in
-                # the previous run); re-extract it.
-                continue
-            if identifier in affected:
-                # the {relation: columns} its previous extraction read: with
-                # the stack an entry completes only once everything it reads
-                # is resolved, so the previous run's final state is what it saw
-                read = self._dependency_schemas(entry, prev_catalog, previous_columns)
-                candidates[identifier] = (
-                    cached, {name: columns for name, columns in read if columns is not None}
-                )
-            else:
-                seed_results[identifier] = cached
+        def previous_read(identifier):
+            # the {relation: columns} its previous extraction read: with
+            # the stack an entry completes only once everything it reads
+            # is resolved, so the previous run's final state is what it saw
+            lineage = prev_views.get(identifier)
+            if lineage is None:
+                return None  # unresolved last run: nothing to splice
+            read = self._dependency_schemas(
+                entries[identifier], prev_catalog, previous_columns
+            )
+            return lineage, {name: columns for name, columns in read if columns is not None}
+
+        store = self._usable_store()
+        if store is not None:
+            store.prime(entries[identifier].content_hash for identifier in dirty)
+        delta = Delta(
+            graph=prev_result.graph,
+            results=results,
+            unresolved=unresolved,
+            dirty=dirty,
+            suspects=self_readers if self.use_stack else (),
+            removed=removed,
+            schema_changed=schema_changed,
+            previous_columns=previous_columns,
+            previous_read=previous_read,
+            stored=None if store is None else functools.partial(self._stored, store, catalog),
+        )
         return self._run_scheduler(
-            query_dictionary, seed_results=seed_results, candidates=candidates,
-            dag=dag, previous=prev_result, schema_changed=ddl_changed,
+            query_dictionary, catalog=catalog, dag=dag, delta=delta,
+            previous=prev_result, source_hashes=hashes,
         )
 
+    def _catalog_drift(self, before):
+        """Names whose schema in the runner's catalog differs from ``before``
+        (the tables a previous run saw); empty when nothing changed."""
+        now = self.catalog.tables if self.catalog is not None else {}
+        before = before or {}
+        if now == before:
+            return set()
+        return {
+            name for name in now.keys() | before.keys()
+            if now.get(name) is not before.get(name)
+        }
+
     def _merge_query_dictionary(self, prev_dictionary, changed_sources):
-        """Apply ``changed_sources`` to a copy of ``prev_dictionary``.
+        """Apply ``changed_sources`` to a derived copy of ``prev_dictionary``.
 
         Unchanged entries reuse their already-parsed :class:`ParsedQuery`
         objects (no re-parsing); only the changed sources run through
@@ -400,7 +456,8 @@ class LineageXRunner:
         previous run: entries are matched by identifier, and entries or DDL
         recorded under the same ``source_name`` that the new fragment no
         longer produces are purged (so replacing a multi-statement source
-        with fewer statements leaves no orphans).
+        with fewer statements leaves no orphans).  The dictionary's source
+        index names those entries, so only they are looked at.
 
         Known limitation: when several sources define the *same* identifier,
         only the winning definition is retained in the dictionary (the
@@ -412,7 +469,9 @@ class LineageXRunner:
         dirty its readers — a schema change invalidates spliced lineage
         even though no Query Dictionary entry changed.
 
-        Returns ``(merged_dictionary, ddl_changed_names)``.
+        Returns ``(merged_dictionary, ddl_changed_names, touched)``, where
+        ``touched`` lists, in dictionary order, every identifier the merge
+        added, replaced or removed.
         """
         from ..sqlparser import ast
 
@@ -450,35 +509,53 @@ class LineageXRunner:
                 parsed_changes[identifier] = entry
         ddl_changed |= new_ddl_names
 
-        merged = QueryDictionary()
-        for statement, source in zip(
-            prev_dictionary.ddl_statements, prev_dictionary.ddl_sources
-        ):
-            declared = (
-                normalize_name(statement.name.dotted())
-                if statement.name is not None
-                else None
-            )
-            if source is not None and source in changed_keys:
-                # the source was replaced/removed; whatever schema it
-                # declared is gone (or re-declared by the new fragment)
-                if declared is not None:
-                    ddl_changed.add(declared)
-                continue
-            if isinstance(statement, ast.CreateTable) and declared in new_ddl_names:
-                # superseded by DDL for the same relation in a new fragment
-                # (only *new* declarations supersede — a schema also dropped
-                # elsewhere must not erase an unchanged source's DDL)
-                continue
-            merged.add_ddl(statement, source=source)
-        for statement, source in zip(extra_ddl, extra_ddl_sources):
-            merged.add_ddl(statement, source=source)
+        merged = prev_dictionary.derive()
+        if extra_ddl or not changed_keys.isdisjoint(prev_dictionary.ddl_sources):
+            merged.ddl_statements, merged.ddl_sources = [], []
+            for statement, source in zip(
+                prev_dictionary.ddl_statements, prev_dictionary.ddl_sources
+            ):
+                declared = (
+                    normalize_name(statement.name.dotted())
+                    if statement.name is not None
+                    else None
+                )
+                if source is not None and source in changed_keys:
+                    # the source was replaced/removed; whatever schema it
+                    # declared is gone (or re-declared by the new fragment)
+                    if declared is not None:
+                        ddl_changed.add(declared)
+                    continue
+                if isinstance(statement, ast.CreateTable) and declared in new_ddl_names:
+                    # superseded by DDL for the same relation in a new
+                    # fragment (only *new* declarations supersede — a schema
+                    # also dropped elsewhere must not erase an unchanged
+                    # source's DDL)
+                    continue
+                merged.add_ddl(statement, source=source)
+            for statement, source in zip(extra_ddl, extra_ddl_sources):
+                merged.add_ddl(statement, source=source)
         # Warnings of carried-over entries would re-occur on a full run, so
         # keep them; warnings tied to a *replaced* entry may be stale, which
         # is the price of not re-parsing the unchanged sources.
-        merged.warnings = list(prev_dictionary.warnings) + warnings
-        for identifier, entry in prev_dictionary.items():
+        merged.warnings.extend(warnings)
+
+        # the previous entries a changed key addresses: its source's
+        # entries, or the entry of that identifier (for anonymous script
+        # input the identifier is the key), and every identifier a new
+        # fragment produces
+        addressed = set()
+        for key in changed_keys:
+            addressed.update(merged.sources.get(key, ()))
+            if key in merged.entries:
+                addressed.add(key)
+        addressed.update(name for name in parsed_changes if name in merged.entries)
+        touched = {}
+        for identifier in sorted(addressed, key=merged.positions.__getitem__):
+            entry = merged.entries[identifier]
             if identifier in removed:
+                merged.drop(identifier)
+                touched[identifier] = None
                 continue
             # the key a delta must use to address this entry: its named
             # source, or the identifier itself for anonymous script input
@@ -497,35 +574,33 @@ class LineageXRunner:
                         f"{replacement.kind.upper()} on {identifier!r} ignored: "
                         "the relation is already defined by an earlier statement"
                     )
-                    merged.add(entry)
                 else:
-                    merged.add(replacement)
+                    merged.put(replacement)
+                    touched[identifier] = None
                 continue
             if owner in changed_keys:
                 # the entry's source no longer produces this statement
-                continue
-            merged.add(entry)
+                merged.drop(identifier)
+                touched[identifier] = None
         # entries produced by the new fragments that did not replace a prev
         # entry are appended unconditionally — `removed` names prior state,
         # and a relation removed from one source may be redefined by another
-        for entry in parsed_changes.values():
-            merged.add(entry)
-        return merged, ddl_changed
+        for identifier, entry in parsed_changes.items():
+            merged.put(entry)
+            touched[identifier] = None
+        return merged, ddl_changed, touched
 
     # ------------------------------------------------------------------
-    def _run_scheduler(self, query_dictionary, seed_results=None, candidates=None,
-                       dag=None, previous=None, schema_changed=()):
-        catalog = self._build_catalog(query_dictionary)
-        seed_origins = {identifier: "memory" for identifier in (seed_results or ())}
+    def _run_scheduler(self, query_dictionary, catalog=None, dag=None, delta=None,
+                       previous=None, source_hashes=None):
+        if catalog is None:
+            catalog = self._build_catalog(query_dictionary)
+        seed_results = None
         store = self._usable_store()
-        if store is not None:
+        if store is not None and delta is None:
             if dag is None:
                 dag = DependencyDAG.from_query_dictionary(query_dictionary)
-            seed_results = dict(seed_results or {})
-            self._splice_from_store(
-                store, query_dictionary, catalog, dag, seed_results, seed_origins,
-                candidates or {},
-            )
+            seed_results = self._splice_from_store(store, query_dictionary, catalog, dag)
         scheduler = AutoInferenceScheduler(
             query_dictionary,
             catalog=catalog,
@@ -534,28 +609,35 @@ class LineageXRunner:
             collect_traces=self.collect_traces,
             mode=self.mode,
             seed_results=seed_results,
-            seed_origins=seed_origins,
-            candidates=candidates,
             dag=dag,
             release_asts=self.stream,
+            delta=delta,
         )
         graph, report = scheduler.run()
-        self._attach_base_tables(graph, catalog, previous, schema_changed)
+        usage = self._attach_base_tables(
+            graph, catalog, previous, () if delta is None else delta.schema_changed,
+            scheduler.graph_changes,
+        )
         if store is not None:
             self._persist_results(store, query_dictionary, catalog, scheduler, report)
+        if source_hashes is None:
+            source_hashes = {
+                identifier: entry.content_hash
+                for identifier, entry in query_dictionary.items()
+            }
         result = LineageXResult(
             graph=graph,
             query_dictionary=query_dictionary,
             catalog=catalog,
             report=report,
             warnings=list(query_dictionary.warnings),
-            source_hashes={
-                identifier: entry.content_hash
-                for identifier, entry in query_dictionary.items()
-            },
+            source_hashes=source_hashes,
             runner=self,
         )
         result.dag = scheduler.dag
+        result.entry_lineage = scheduler.results
+        result.table_usage = usage
+        result.catalog_tables = dict(self.catalog.tables) if self.catalog is not None else None
         return result
 
     # ------------------------------------------------------------------
@@ -594,33 +676,29 @@ class LineageXRunner:
                 rows.append((name, lookup(name)))
         return rows
 
-    def _splice_from_store(
-        self, store, query_dictionary, catalog, dag, seed_results, seed_origins,
-        candidates,
-    ):
-        """Seed extraction with store hits, walking entries in plan order.
+    def _splice_from_store(self, store, query_dictionary, catalog, dag):
+        """A full run's store hits, ``{identifier: lineage}``, found by
+        walking the entries in plan order.
 
         Mirrors how the incremental layer splices ``prev_result``: a hit
         becomes a ``seed_result`` the scheduler treats as already
         processed.  An entry's key needs the column lists of everything it
         references, so hits resolve in topological order — an upstream
         miss (changed content, schema drift, version bump) conservatively
-        re-extracts every dependent whose resolved schemas it feeds.
-        Incremental ``candidates`` are not prefetched: they depend on a
-        changed entry, so they are looked up only if it hits.
+        re-extracts every dependent whose resolved schemas it feeds.  (An
+        incremental run looks each pending entry up when the scheduler
+        reaches it instead, once what it reads has settled; see
+        :class:`~repro.core.scheduler.Delta`.)
         """
-        store.prime(
-            entry.content_hash
-            for identifier, entry in query_dictionary.items()
-            if identifier not in seed_results and identifier not in candidates
-        )
+        entries = query_dictionary.entries
+        store.prime(entry.content_hash for entry in entries.values())
+        hits = {}
 
         def lookup(name):
-            # seeds (memory splices and earlier store hits) are known
-            # before extraction; a dependency always sits in an earlier wave
-            seeded = seed_results.get(name)
-            if seeded is not None:
-                return list(seeded.output_columns)
+            # a dependency always sits in an earlier wave
+            hit = hits.get(name)
+            if hit is not None:
+                return list(hit.output_columns)
             table = catalog.get(name) if catalog is not None else None
             if table is not None:
                 return table.column_names()
@@ -629,36 +707,34 @@ class LineageXRunner:
         # never splice entries on (or downstream of) a dependency cycle: the
         # cold path raises CyclicDependencyError for them, and a warm hit
         # must not change which runs fail
-        waves, deferred = dag.waves()
-        unresolvable = set(deferred)
-        for identifier in (name for wave in waves for name in wave):
-            if identifier in seed_results:
-                continue
-            entry = query_dictionary.get(identifier)
-            if entry is None:
-                continue
+        level, position = dag.level, query_dictionary.positions
+        unresolvable = set()
+        for identifier in sorted(
+            level, key=lambda identifier: (level[identifier], position[identifier])
+        ):
             # a dependency that is itself a pending Query Dictionary entry
             # makes the key incomputable before extraction -> cold path
-            dependencies = dag.dependencies.get(identifier, ())
-            if any(name in unresolvable for name in dependencies):
+            if not unresolvable.isdisjoint(dag.dependencies[identifier]):
                 unresolvable.add(identifier)
                 continue
-            key = self._record_key(entry, catalog, lookup)
-            cached = store.get(key, content_hash=entry.content_hash)
+            cached = self._stored(store, catalog, entries[identifier], lookup)
             if cached is None:
                 unresolvable.add(identifier)
                 continue
-            seed_results[identifier] = cached
-            seed_origins[identifier] = "store"
+            hits[identifier] = cached
+        return hits
 
-    def _record_key(self, entry, catalog, lookup):
+    def _stored(self, store, catalog, entry, lookup):
+        """The store's record of ``entry`` extracted against the column
+        lists ``lookup(name)`` gives, or ``None``."""
         from ..store import make_key, schema_fingerprint
 
         fingerprint = schema_fingerprint(
             self._dependency_schemas(entry, catalog, lookup),
             strict=self.strict,
         )
-        return make_key(entry.content_hash, self.dialect, EXTRACTOR_VERSION, fingerprint)
+        key = make_key(entry.content_hash, self.dialect, EXTRACTOR_VERSION, fingerprint)
+        return store.get(key, content_hash=entry.content_hash)
 
     def _persist_results(self, store, query_dictionary, catalog, scheduler, report):
         """Write every newly extracted entry's record to the store.
@@ -726,90 +802,92 @@ class LineageXRunner:
         return merged
 
     @staticmethod
-    def _attach_base_tables(graph, catalog, previous=None, schema_changed=()):
+    def _attach_base_tables(graph, catalog, previous=None, schema_changed=(), changed=()):
         """Create base-table nodes for every relation that is only read.
 
         Column sets come from the catalog when available and are otherwise
         accumulated from usage (every contribution or reference that points
         at the relation), which is how Example 1's ``web`` node obtains its
         ``cid``/``date``/``page``/``reg`` columns without any metadata.
-        Base tables follow the views in name order, with their usage
-        columns sorted (so the result does not depend on the order the
-        graph was assembled in), then any further catalog columns.
+        Usage columns come sorted, then any further catalog columns.  Returns
+        the usage counts (relation -> {column: number of reads}).
 
-        With ``previous`` (the result an incremental run started from),
-        only the base tables whose readers changed, or whose schema did
-        (``schema_changed`` names the relations whose DDL changed), are
-        derived again; the others are spliced from ``previous`` by
-        reference.  A reader's column sources always lie in its
-        ``source_tables``, so the readers of a base table are found
-        without walking every entry's lineage.
+        A full run counts every view's reads and adds the base tables after
+        the views, in name order.  With ``previous`` (the result an
+        incremental run started from), the counts are the previous ones
+        patched with the reads of the ``changed`` views (those the
+        scheduler added to or removed from the graph it derived), and only
+        the relations those views read or are named after, or whose schema
+        changed (``schema_changed``), are derived again; every other base
+        table stays spliced by reference.
         """
-        views = graph.relations  # only views so far
-        affected, spliced = None, {}
-        if previous is not None:
-            affected, spliced = _base_table_delta(
-                views, previous, catalog, schema_changed
-            )
-        used = {}  # base table -> the column names read from it
-        for entry in list(views.values()):
-            if affected is not None and affected.isdisjoint(entry.source_tables):
-                continue
-            for sources in (*entry.contributions.values(), entry.referenced):
-                for source in sources:
-                    table = source.table
-                    if table in views or (affected is not None and table not in affected):
-                        continue
-                    used.setdefault(table, set()).add(source.column)
-        for name in sorted(used.keys() | spliced.keys()):
-            entry = spliced.get(name)
-            if entry is None:
-                entry = TableLineage(name=name, is_base_table=True)
-                for column in sorted(used[name] - {"*"}):
-                    entry.add_output_column(column)
-                table = catalog.get(name) if catalog is not None else None
-                if table is not None:
-                    for column in table.column_names():
-                        entry.add_output_column(column)
-            graph.add(entry)
+        if previous is None:
+            usage = {}
+            for entry in list(graph.relations.values()):  # only views so far
+                _count_reads(usage, entry, 1)
+            for name in sorted(usage.keys() - graph.relations.keys()):
+                graph.add(_base_table(name, usage[name], catalog))
+            return usage
+        usage = previous.table_usage.copy()
+        before = previous.graph.relations
+        affected = set(schema_changed)
+        copied = set()
+        for name in changed:
+            affected.add(name)
+            for entry, sign in ((before.get(name), -1), (graph.relations.get(name), 1)):
+                if entry is not None and not entry.is_base_table:
+                    # a reader's column sources always lie in its source tables
+                    _count_reads(usage, entry, sign, copied)
+                    affected.update(entry.source_tables)
+        for name in sorted(affected):
+            entry = graph.relations.get(name)
+            if entry is not None and not entry.is_base_table:
+                continue  # a view
+            if name in usage:
+                graph.add(_base_table(name, usage[name], catalog))
+            elif entry is not None:
+                graph.discard(name)
+        return usage
 
 
-def _base_table_delta(views, previous, catalog, schema_changed):
-    """``(affected, spliced)`` for an incremental base-table pass.
+def _count_reads(usage, entry, sign, copied=None):
+    """Add (``sign=1``) or take away (``-1``) ``entry``'s reads to ``usage``.
 
-    ``affected`` holds every relation whose base-table node may differ
-    from ``previous``'s: the names and source tables of the views that
-    were added, replaced or removed, plus the relations whose schema
-    changed.  ``spliced`` maps each other base table of ``previous`` to its
-    entry, reused as is.
+    Every contribution and reference counts once per source column.  With
+    ``copied`` (the rows this patch owns), shared rows are copied before
+    they are edited.
     """
-    before = previous.graph.relations
-    affected = set(schema_changed)
-    bases = []
-    for name, entry in before.items():
-        if entry.is_base_table:
-            bases.append(name)
-        elif views.get(name) is not entry:
-            affected.add(name)
-            affected.update(entry.source_tables)
-    for name, entry in views.items():
-        if before.get(name) is not entry:
-            affected.add(name)
-            affected.update(entry.source_tables)
-    old_catalog = previous.catalog
-    spliced = {}
-    for name in bases:
-        if name in affected:
-            continue
-        table = catalog.get(name) if catalog is not None else None
-        old = old_catalog.get(name) if old_catalog is not None else None
-        if table is not old and (
-            table is None or old is None or table.column_names() != old.column_names()
-        ):
-            affected.add(name)
-            continue
-        spliced[name] = before[name]
-    return affected, spliced
+    for sources in (*entry.contributions.values(), entry.referenced):
+        for source in sources:
+            table = source.table
+            row = usage.get(table)
+            if copied is not None and table not in copied:
+                copied.add(table)
+                row = usage[table] = dict(row or ())
+            elif row is None:
+                row = usage[table] = {}
+            count = row.get(source.column, 0) + sign
+            if count:
+                row[source.column] = count
+            else:
+                del row[source.column]
+                if not row:
+                    del usage[table]
+                    if copied is not None:
+                        copied.discard(table)
+
+
+def _base_table(name, columns, catalog):
+    """The base-table node of ``name`` read in ``columns``."""
+    entry = TableLineage(name=name, is_base_table=True)
+    for column in sorted(columns):
+        if column != "*":
+            entry.add_output_column(column)
+    table = catalog.get(name) if catalog is not None else None
+    if table is not None:
+        for column in table.column_names():
+            entry.add_output_column(column)
+    return entry
 
 
 def lineagex(

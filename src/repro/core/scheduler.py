@@ -20,27 +20,41 @@ This module supports two scheduling modes:
   :class:`UnknownRelationError`.
 
 The scheduler also supports ``use_stack=False`` for the ablation benchmark
-(ABL-STACK in DESIGN.md): queries are then processed strictly in Query
-Dictionary order and any not-yet-known relation is treated as an external
-table of unknown schema, reproducing the failure modes of single-pass tools.
-(``use_stack=False`` forces the reactive mode — planning would mask exactly
-the failure modes the ablation measures.)
+(ABL-STACK, ``benchmarks/bench_ablation_stack.py``): queries are then
+processed strictly in Query Dictionary order and any not-yet-known relation
+is treated as an external table of unknown schema, reproducing the failure
+modes of single-pass tools.  (``use_stack=False`` forces the reactive mode
+— planning would mask exactly the failure modes the ablation measures.)
 
-``seed_results`` pre-populates extraction results (keyed by identifier) and
-is the substrate of incremental re-extraction: seeded entries are treated as
-already processed and spliced into the output graph unchanged.
-``candidates`` carries the entries an incremental change *may* affect,
-each with its previous lineage and the ``{relation: columns}`` its previous
+``seed_results`` pre-populates a full run's extraction results (keyed by
+identifier): seeded entries are treated as already processed and spliced
+into the output graph unchanged — the persistent store's warm hits.
+
+A :class:`Delta` makes the run incremental, and its cost follows the
+delta, not the corpus: the previous result's lineage is the starting
+state, and only the *dirty* entries (changed content) are pending, ordered
+by the DAG level :class:`~repro.core.dag.DependencyDAG` maintains and
+their Query Dictionary position — the order of ``waves()``, in either mode,
+as a candidate is only known once what it reads has settled.  When an entry
+settles with another column list than last run (or a relation is removed,
+or its schema changed), each of its readers becomes a *candidate*, carrying
+its previous lineage and the ``{relation: columns}`` its previous
 extraction read.  When a candidate's turn comes, the scheduler compares
 that record with the schemas the entry would be extracted against now
 (:meth:`AutoInferenceScheduler._schema_snapshot`, the complete input of an
 extraction besides the statement and the ``strict`` flag): equal inputs
 give equal output, so the previous lineage is spliced instead — the "early
 cutoff" of build systems, which stops re-extraction at the first entry
-whose inputs did not change.
+whose inputs did not change.  Any other pending entry is looked up in the
+persistent store (when there is one) by the column lists it reads now,
+before it is extracted.  The run's graph is the previous one derived
+(:meth:`~repro.core.lineage.LineageGraph.derive`) with just the entries
+that changed, and the report derives its whole-dictionary views (``waves``,
+``reused``, ``reused_from``) only when read.
 """
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 
 from .dag import DependencyDAG
 from .errors import (
@@ -62,26 +76,103 @@ class DeferralEvent:
     missing: str = ""
 
 
-@dataclass
 class ScheduleReport:
-    """What the scheduler did: plan, processing order, and deferral events."""
+    """What the scheduler did: processing order, deferral events, outcomes.
 
-    order: list = field(default_factory=list)
-    events: list = field(default_factory=list)
-    unresolved: dict = field(default_factory=dict)   # identifier -> error message
-    traces: dict = field(default_factory=dict)       # identifier -> ExtractionTrace
-    mode: str = "stack"
-    waves: list = field(default_factory=list)        # the topological plan (dag mode)
-    reused: list = field(default_factory=list)       # identifiers spliced from a cache
-    #: where each reused identifier was spliced from: ``"memory"`` (the
-    #: previous result's graph, i.e. the incremental layer, including the
-    #: candidates whose inputs came out unchanged) or ``"store"`` (the
-    #: persistent content-addressed lineage store).
-    reused_from: dict = field(default_factory=dict)
+    ``order`` lists the entries extracted, ``unresolved`` the entries that
+    could not be (identifier -> error message).  The views over the whole
+    Query Dictionary — the ``waves`` of the plan, the ``reused`` entries
+    (spliced from the previous result or the store instead of extracted)
+    and ``reused_from`` (where each came from: ``"memory"``, the previous
+    result's graph, including the candidates whose inputs came out
+    unchanged; or ``"store"``, the persistent content-addressed lineage
+    store) — are derived on first read, so an incremental run does not pay
+    for them; ``reused_counts`` has the two totals.
+    """
+
+    def __init__(self, mode="stack", query_dictionary=None, dag=None):
+        self.order = []
+        self.events = []
+        self.unresolved = {}
+        self.traces = {}       # identifier -> ExtractionTrace
+        self.mode = mode
+        #: identifiers spliced from the persistent store
+        self.store_hits = set()
+        #: ``{"memory": n, "store": m}``: how many entries were reused
+        self.reused_counts = {"memory": 0, "store": 0}
+        self._query_dictionary = query_dictionary
+        self._dag = dag if mode == "dag" else None
+        self._reused = None
 
     @property
     def deferral_count(self):
         return sum(1 for event in self.events if event.kind == "defer")
+
+    @property
+    def waves(self):
+        """The topological plan (dag mode; ``[]`` in stack mode)."""
+        return self._dag.waves()[0] if self._dag is not None else []
+
+    @property
+    def reused(self):
+        """Identifiers spliced instead of extracted, in Query Dictionary order."""
+        if self._reused is None:
+            if self._query_dictionary is None:
+                self._reused = []
+            else:
+                skip = set(self.order)
+                skip.update(self.unresolved)
+                self._reused = [
+                    identifier for identifier in self._query_dictionary.entries
+                    if identifier not in skip
+                ]
+        return self._reused
+
+    @property
+    def reused_from(self):
+        """``{identifier: "memory" | "store"}`` for every reused entry."""
+        hits = self.store_hits
+        return {
+            identifier: "store" if identifier in hits else "memory"
+            for identifier in self.reused
+        }
+
+
+class Delta:
+    """Where an incremental run starts from.
+
+    ``graph`` is the previous result's graph; the run's graph is derived
+    from it.  ``results`` maps every resolved entry outside the delta to
+    its previous lineage, and ``unresolved`` the previous failures outside
+    it; the scheduler edits both in place.  ``dirty`` lists the
+    entries to extract (their content changed), ``suspects`` the entries
+    whose inputs may have changed, ``removed`` the identifiers no longer in
+    the dictionary and ``schema_changed`` the relations whose catalog
+    schema changed; a reader of a removed or schema-changed relation
+    becomes a suspect when the columns it would read changed.
+    ``previous_columns(name)`` is what a reader of ``name`` saw in the
+    previous run, and ``previous_read(identifier)`` the previous lineage
+    of an entry and the ``{relation: columns}`` its extraction read, or
+    ``None`` when it has none to splice.  ``stored(entry, columns)`` is
+    the persistent store's record of ``entry`` extracted against the
+    column lists ``columns(name)`` gives, or ``None`` (``stored`` is
+    ``None`` without a store).  Without the stack, the dirty set already
+    holds every dependent and no suspect is ever added.
+    """
+
+    def __init__(self, graph, results, unresolved, dirty, suspects=(), removed=(),
+                 schema_changed=(), previous_columns=None, previous_read=None,
+                 stored=None):
+        self.graph = graph
+        self.results = results
+        self.unresolved = unresolved
+        self.dirty = dirty
+        self.suspects = suspects
+        self.removed = removed
+        self.schema_changed = schema_changed
+        self.previous_columns = previous_columns
+        self.previous_read = previous_read
+        self.stored = stored
 
 
 class _SchedulerProvider(SchemaProvider):
@@ -155,7 +246,7 @@ class _SchedulerProvider(SchemaProvider):
 
 
 class AutoInferenceScheduler:
-    """Drive lineage extraction over a whole Query Dictionary."""
+    """Drive lineage extraction over a Query Dictionary, or a delta of one."""
 
     def __init__(
         self,
@@ -167,10 +258,9 @@ class AutoInferenceScheduler:
         max_deferrals=None,
         mode="dag",
         seed_results=None,
-        seed_origins=None,
-        candidates=None,
         dag=None,
         release_asts=False,
+        delta=None,
     ):
         if mode not in ("dag", "stack"):
             raise ValueError(f"mode must be 'dag' or 'stack', got {mode!r}")
@@ -184,32 +274,45 @@ class AutoInferenceScheduler:
         #: streaming mode: drop each entry's AST as soon as its lineage is
         #: recorded, so a run holds at most one wave's ASTs at a time.
         self.release_asts = release_asts
-        self.results = {}
         #: name -> (TableLineage._version, [columns]); the provider's
         #: per-relation resolved-column memo (see _SchedulerProvider).
         self.schema_cache = {}
-        self.pending = set(query_dictionary.identifiers())
-        self.seeded = []
-        #: identifier -> "memory" | "store"; where each seed was spliced from
-        self.seed_origins = {}
-        if seed_results:
-            seed_origins = seed_origins or {}
-            for identifier in query_dictionary.identifiers():
-                lineage = seed_results.get(identifier)
-                if lineage is not None:
-                    self.results[identifier] = lineage
-                    self.pending.discard(identifier)
-                    self.seeded.append(identifier)
-                    self.seed_origins[identifier] = seed_origins.get(
-                        identifier, "memory"
-                    )
         #: identifier -> (previous TableLineage, {relation: columns} its
         #: previous extraction read); see _splice_candidate.
-        self.candidates = dict(candidates or {})
+        self.candidates = {}
         #: a pre-built DependencyDAG for this Query Dictionary may be passed
-        #: in (the incremental runner already computed one for its dirty
-        #: set); otherwise the plan-first mode builds it on demand.
+        #: in (the incremental runner patched the previous one); otherwise
+        #: the plan-first mode builds it on demand.
         self.dag = dag
+        self.delta = delta
+        if delta is None:
+            seeds = seed_results or {}
+            self.results = {
+                identifier: seeds[identifier]
+                for identifier in query_dictionary.entries if identifier in seeds
+            }
+            self.pending = {
+                identifier for identifier in query_dictionary.entries
+                if identifier not in self.results
+            }
+            self.unresolved = {}
+            #: the entries this run examined, in the order they came up
+            self.examined = {}
+        else:
+            self.results = delta.results
+            self.pending = set(delta.dirty)
+            self.unresolved = delta.unresolved
+            self.examined = dict.fromkeys(delta.dirty)
+        #: identifiers spliced from the persistent store: a full run's
+        #: seeds, an incremental run's :meth:`_splice_stored` hits
+        self.store_hits = set(self.results) if delta is None else set()
+        #: the names an incremental run added to or removed from the graph
+        #: it derived, in that order
+        self.graph_changes = []
+        self._queue = []
+        self._cyclic = []
+        #: set once the planned queue is a heap: a suspect is pushed onto it
+        self._running = False
         self.provider = _SchedulerProvider(self)
         self.extractor = LineageExtractor(
             provider=self.provider,
@@ -219,62 +322,128 @@ class AutoInferenceScheduler:
 
     # ------------------------------------------------------------------
     def run(self):
-        """Process every Query Dictionary entry; return (graph, report)."""
-        report = ScheduleReport(mode=self.mode)
-        if self.mode == "dag":
+        """Process the pending entries; return ``(graph, report)``.
+
+        A full run extracts every entry that was not seeded and assembles
+        a new graph.  With a :class:`Delta`, only the dirty entries and
+        the suspects are pending: an entry whose column list comes out
+        different from the previous run's makes its readers suspects in
+        turn, and the graph is the previous one derived with just the
+        entries that changed.
+        """
+        planned = self.use_stack and (self.mode == "dag" or self.delta is not None)
+        if planned and self.dag is None:
+            self.dag = DependencyDAG.from_query_dictionary(self.query_dictionary)
+        report = ScheduleReport(self.mode, self.query_dictionary, self.dag)
+        report.unresolved = self.unresolved
+        delta = self.delta
+        if delta is not None:
+            for identifier in delta.suspects:
+                self._suspect(identifier)
+            for name in (*delta.removed, *delta.schema_changed):
+                if name not in self.pending:
+                    self._settled(name)
+        if planned:
             self._run_planned(report)
         else:
-            for identifier in self.query_dictionary.identifiers():
-                if identifier not in self.pending:
-                    continue
-                self._process_with_stack(identifier, report)
+            position = self.query_dictionary.positions
+            for identifier in sorted(self.pending, key=position.__getitem__):
+                if identifier in self.pending:
+                    self._process_with_stack(identifier, report)
 
-        if len(self.seed_origins) > len(self.seeded):
-            # spliced candidates join the seeds in Query Dictionary order,
-            # so the graph's relation order is the same as if they had been
-            # seeded up front
-            self.seeded = [
-                identifier
-                for identifier in self.query_dictionary.identifiers()
-                if identifier in self.seed_origins
-            ]
-        report.reused = list(self.seeded)
-        report.reused_from = {
-            identifier: self.seed_origins[identifier] for identifier in self.seeded
+        report.store_hits = self.store_hits
+        reused = len(self.query_dictionary) - len(report.order) - len(report.unresolved)
+        report.reused_counts = {
+            "memory": reused - len(self.store_hits), "store": len(self.store_hits),
         }
-        graph = LineageGraph()
-        for identifier in self.seeded:
-            graph.add(self.results[identifier])
-        for identifier in report.order:
+        if delta is None:
+            graph = LineageGraph()
+            for identifier in report.reused:
+                graph.add(self.results[identifier])
+            for identifier in report.order:
+                graph.add(self.results[identifier])
+            return graph, report
+        graph = delta.graph.derive()
+        before = delta.graph.relations
+        for identifier in (*self.examined, *delta.removed):
             lineage = self.results.get(identifier)
+            old = before.get(identifier)
             if lineage is not None:
-                graph.add(lineage)
+                if lineage is not old:
+                    graph.add(lineage)
+                    self.graph_changes.append(identifier)
+            elif old is not None and not old.is_base_table:
+                graph.discard(identifier)
+                self.graph_changes.append(identifier)
         return graph, report
 
     # ------------------------------------------------------------------
-    # Plan-first (DAG) mode
+    # Plan-first (DAG) order
     # ------------------------------------------------------------------
     def _run_planned(self, report):
-        if self.dag is None:
-            self.dag = DependencyDAG.from_query_dictionary(self.query_dictionary)
-        waves, deferred = self.dag.waves()
-        report.waves = [list(wave) for wave in waves]
-        for wave in waves:
-            # decide the whole wave's splices before extracting any of it:
-            # the plan puts no entry in the same wave as a relation it reads
-            todo = [
-                identifier for identifier in wave
-                if identifier in self.pending
-                and not self._splice_candidate(identifier)
-            ]
-            for identifier in todo:
+        """Extract the pending entries by ``(level, position)``: the order of
+        :meth:`DependencyDAG.waves`; entries on a cycle come last, by
+        position, through the stack, which reports genuine cycles."""
+        for identifier in self.pending:
+            queue, item = self._queued(identifier)
+            queue.append(item)
+        heapq.heapify(self._queue)
+        heapq.heapify(self._cyclic)
+        self._running = True
+        while self._queue or self._cyclic:
+            if self._queue:
+                identifier = heapq.heappop(self._queue)[2]
+                # the plan puts no entry in the same wave as a relation it
+                # reads, so what an entry reads has settled by its turn
+                if (
+                    identifier in self.pending
+                    and not self._splice_candidate(identifier)
+                    and not self._splice_stored(identifier)
+                ):
+                    self._process_with_stack(identifier, report)
+            else:
+                identifier = heapq.heappop(self._cyclic)[1]
                 if identifier in self.pending:
                     self._process_with_stack(identifier, report)
-        # Entries the plan could not order (dependency cycles): hand them to
-        # the stack, which reports genuine cycles with the participant list.
-        for identifier in deferred:
-            if identifier in self.pending:
-                self._process_with_stack(identifier, report)
+
+    def _queued(self, identifier):
+        """``(queue, item)`` that schedules ``identifier``: by level and
+        position, or by position among the entries on a cycle."""
+        position = self.query_dictionary.positions[identifier]
+        depth = self.dag.level.get(identifier)
+        if depth is None:
+            return self._cyclic, (position, identifier)
+        return self._queue, (depth, position, identifier)
+
+    # ------------------------------------------------------------------
+    # Incremental suspects
+    # ------------------------------------------------------------------
+    def _settled(self, name):
+        """After ``name`` settled in an incremental run: make its readers
+        suspects when readers now see other columns than last run."""
+        if self.delta is None or not self.use_stack:
+            return
+        if self._columns(name) == self.delta.previous_columns(name):
+            return
+        readers = self.dag.readers.get(name, ())
+        position = self.query_dictionary.positions
+        for reader in sorted(readers, key=position.__getitem__):
+            self._suspect(reader)
+
+    def _suspect(self, identifier):
+        """Add ``identifier`` to the run: a candidate when it has previous
+        lineage to splice, else an entry to extract."""
+        if identifier in self.examined:
+            return  # pending, or settled already
+        self.examined[identifier] = None
+        self.unresolved.pop(identifier, None)
+        record = self.delta.previous_read(identifier)
+        if record is not None:
+            self.candidates[identifier] = record
+        self.results.pop(identifier, None)
+        self.pending.add(identifier)
+        if self._running:
+            heapq.heappush(*self._queued(identifier))
 
     def _schema_snapshot(self, identifier):
         """``(schemas, pending)`` visible to one entry, as plain data.
@@ -337,7 +506,38 @@ class AutoInferenceScheduler:
             return False
         self.results[identifier] = lineage
         self.pending.discard(identifier)
-        self.seed_origins[identifier] = "memory"
+        return True
+
+    def _columns(self, name):
+        """The column list a reader of ``name`` sees now: its result's, else
+        the catalog's, else ``None``."""
+        lineage = self.results.get(name)
+        if lineage is not None:
+            return list(lineage.output_columns)
+        table = self.catalog.get(name) if self.catalog is not None else None
+        return table.column_names() if table is not None else None
+
+    def _splice_stored(self, identifier):
+        """Reuse the persistent store's record of an entry of an incremental
+        run, keyed on the column lists it reads now.
+
+        Only called from the planned queue, which reaches an entry once
+        every relation it reads has settled (the DAG orders it after them),
+        so the key is the one the entry's extraction would be stored under
+        — a reader whose input columns changed back to an earlier state (an
+        edit, then its revert) hits that state's record.  Returns ``True``
+        on a hit.
+        """
+        stored = self.delta.stored if self.delta is not None else None
+        if stored is None:
+            return False
+        lineage = stored(self.query_dictionary.get(identifier), self._columns)
+        if lineage is None:
+            return False
+        self.results[identifier] = lineage
+        self.pending.discard(identifier)
+        self.store_hits.add(identifier)
+        self._settled(identifier)
         return True
 
     def _record(self, identifier, lineage, trace, report):
@@ -355,6 +555,7 @@ class AutoInferenceScheduler:
             entry = self.query_dictionary.get(identifier)
             if entry is not None:
                 entry.release()
+        self._settled(identifier)
 
     # ------------------------------------------------------------------
     # Reactive (stack) mode — also the fallback for pre-pass misses
@@ -388,6 +589,7 @@ class AutoInferenceScheduler:
                     report.unresolved[current] = str(error)
                     self.pending.discard(current)
                     stack.pop()
+                    self._settled(current)
                     continue
                 if missing in stack:
                     raise CyclicDependencyError(stack[stack.index(missing):] + [missing])
@@ -396,6 +598,7 @@ class AutoInferenceScheduler:
                     report.unresolved[current] = str(error)
                     self.pending.discard(current)
                     stack.pop()
+                    self._settled(current)
                     continue
                 deferrals += 1
                 if deferrals > limit:

@@ -64,7 +64,6 @@ intermediate snapshots, which is the point).
 """
 
 import asyncio
-from collections import Counter
 
 from .journal import JournalError
 from .. import ingest
@@ -467,11 +466,12 @@ class IngestBatcher:
         if quarantined:
             payload["quarantined"] = quarantined
         if report is not None:
-            origins = Counter((getattr(report, "reused_from", None) or {}).values())
+            # counted by the scheduler in the worker thread, not per name here
+            origins = getattr(report, "reused_counts", None) or {}
             payload["batch"] = {
                 "extracted": len(getattr(report, "order", ()) or ()),
-                "reused_from_memory": origins["memory"],
-                "reused_from_store": origins["store"],
+                "reused_from_memory": origins.get("memory", 0),
+                "reused_from_store": origins.get("store", 0),
                 "unresolved": sorted(getattr(report, "unresolved", ()) or ()),
             }
         return payload

@@ -416,7 +416,7 @@ class LineageSession:
                 "source (directory, dbt project, query log, or {name: sql} "
                 "mapping); re-run extract() instead"
             )
-        merged = dict(self._payload)
+        merged = self._payload.copy()
         for name, sql in changes.items():
             if sql is None:
                 merged.pop(name, None)

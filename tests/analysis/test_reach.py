@@ -256,15 +256,22 @@ class TestIndexPatch:
         from repro.core.lineage import _EMPTY_INDEX
 
         current = {}
+        graph = LineageGraph()
         previous = None
         for step in steps:
             name = f"t{step[1]}"
+            # each step is a refresh: the next graph is derived from the
+            # last one and records what the step changed
+            graph = graph.derive()
             if step[0] == "put":
-                current[name] = _entry(name, step[2], is_base=step[3])
+                current[name] = graph.add(_entry(name, step[2], is_base=step[3]))
             elif step[0] == "remove":
                 current.pop(name, None)
+                graph.discard(name)
             elif step[0] == "move" and name in current:
                 current[name] = current.pop(name)
+                graph.discard(name)
+                graph.add(current[name])
             elif step[0] == "mutate" and name in current:
                 source_table, source_column, target_column, is_reference = step[2]
                 source = ColumnName.of(f"t{source_table}", f"c{source_column}")
@@ -272,13 +279,11 @@ class TestIndexPatch:
                     current[name].add_reference(source)
                 else:
                     current[name].add_contribution(f"c{target_column}", source)
-            graph = LineageGraph()
-            for entry in current.values():
-                graph.add(entry)
             seed = previous.reachability() if previous is not None else None
             frozen = graph.freeze(reach_seed=seed)
+            assert list(frozen.relations) == list(current)
             assert _index_state(frozen._ensure_index()) == _index_state(
-                _EMPTY_INDEX.patched(dict(current))
+                _EMPTY_INDEX.patched(dict(current), dict.fromkeys(current, False))
             )
             assert frozen.stats()["num_column_edges"] == len(list(frozen.edges()))
             _assert_index_matches_bfs(frozen, frozen)

@@ -572,6 +572,32 @@ class TestEarlyCutoff:
         assert updated.stats()["num_reused_memory"] == 4
 
 
+    def test_store_hit_keyed_on_a_read_that_changes_is_reextracted(self, tmp_path):
+        # d's new text is in the store, keyed on c's old columns; the same
+        # delta widens x, so c comes out wider and the hit must not stand
+        from repro.store import LineageStore
+
+        plain = "CREATE VIEW d AS SELECT * FROM c"
+        filtered = "CREATE VIEW d AS SELECT c.* FROM c WHERE 1 = 1"
+        sources = {
+            "x": "CREATE VIEW x AS SELECT t.a FROM t",
+            "c": "CREATE VIEW c AS SELECT * FROM x",
+            "d": plain,
+        }
+        change = {"x": "CREATE VIEW x AS SELECT t.a, t.b FROM t", "d": filtered}
+        store = LineageStore(tmp_path / "cache")
+        try:
+            runner = LineageXRunner(store=store)
+            prev = runner.run(dict(sources)).update({"d": filtered}).update({"d": plain})
+            updated = prev.update(change)
+        finally:
+            store.close()
+        full = LineageXRunner().run(apply_changes(sources, change))
+        assert diff_graphs(updated.graph, full.graph).is_identical
+        assert updated.report.order == ["x", "c", "d"]
+        assert updated.graph["d"].output_columns == ["a", "b"]
+
+
 class TestResultUpdate:
     def test_update_convenience_matches_run_incremental(self):
         prev = lineagex(dict(SOURCES))

@@ -5,8 +5,9 @@ re-derives only the base tables whose readers (or schema) changed; the
 next snapshot's indexes are patched from the previous snapshot's.  These
 tests pin the pieces the differential harness cannot see: what is shared
 by reference, that no refresh leaves garbage behind for the cyclic
-collector, and that a one-statement publish adds a number of live objects
-that does not grow with the corpus.
+collector, and that a one-statement publish adds a number of live objects,
+and calls the per-entry hooks a number of times, that does not grow with
+the corpus.
 """
 
 import gc
@@ -69,7 +70,8 @@ class TestBaseTableSplice:
         assert second.graph["t1"] is not first.graph["t1"]
         assert second.graph["t1"].output_columns == ["a", "c"]
         full = LineageXRunner().run({**CORPUS, **change})
-        assert list(second.graph.relations)[-2:] == ["t1", "t2"]
+        # replaced entries keep their places; the new view is appended
+        assert list(second.graph.relations) == ["v1", "v2", "v3", "t1", "t2", "v4"]
         assert graph_to_csv(second.graph) == graph_to_csv(full.graph)
 
     def test_removed_view_still_read_becomes_a_base_table(self):
@@ -153,3 +155,61 @@ class TestNoLeftovers:
         assert snapshot.graph.stats()["num_column_edges"] == edges + 3
         # about 80 at any corpus size; a full rebuild is several per edge
         assert grown < edges // 10, (grown, edges)
+
+
+class TestDeltaSizedWork:
+    """An append refresh and its publish call the per-entry hooks only for
+    the entries the append changed, however large the corpus: a walk over
+    every entry added anywhere on that path changes these counts."""
+
+    HOOKS = (
+        ("LineageGraph.add", "repro.core.lineage", "LineageGraph", "add"),
+        ("TableLineage._subscribe", "repro.core.lineage", "TableLineage", "_subscribe"),
+        ("TableLineage._record", "repro.core.lineage", "TableLineage", "_record"),
+        ("QueryDictionary.add", "repro.core.preprocess", "QueryDictionary", "add"),
+    )
+
+    def _counts(self, num_views, monkeypatch):
+        import importlib
+
+        from repro.core.preprocess import ParsedQuery
+
+        warehouse = workload.generate_warehouse(
+            num_base_tables=max(4, num_views // 50), num_views=num_views, seed=11
+        )
+        session = LineageSession(catalog=warehouse.catalog())
+        session.refresh(dict(warehouse.views))
+        snapshots = SnapshotManager(session.result.graph)
+        snapshots.install(snapshots.prepare(session.result.graph, session.statements))
+
+        counts = dict.fromkeys([hook[0] for hook in self.HOOKS], 0)
+        counts["ParsedQuery.content_hash"] = 0
+
+        def counting(label, method):
+            def wrapper(*args, **kwargs):
+                counts[label] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        for label, module, owner, name in self.HOOKS:
+            cls = getattr(importlib.import_module(module), owner)
+            monkeypatch.setattr(cls, name, counting(label, getattr(cls, name)))
+        content_hash = ParsedQuery.content_hash.fget
+        monkeypatch.setattr(
+            ParsedQuery, "content_hash",
+            property(counting("ParsedQuery.content_hash", content_hash)),
+        )
+        sql = "CREATE VIEW appended AS SELECT s.id AS x FROM base_0 s"
+        result = session.refresh({"appended": sql})
+        snapshot = snapshots.prepare(result.graph, session.statements)
+        monkeypatch.undo()
+        assert result.report.order == ["appended"]
+        assert snapshot.graph.columns_of("appended") == ["x"]
+        return counts
+
+    def test_hook_counts_do_not_grow_with_the_corpus(self, monkeypatch):
+        small = self._counts(200, monkeypatch)
+        large = self._counts(2000, monkeypatch)
+        assert small == large
+        # the appended view and the base table it reads, nothing else
+        assert small["LineageGraph.add"] == 2, small

@@ -874,3 +874,123 @@ def test_publish_patched_vs_rebuilt_equivalence(seed):
 
     quarantined = asyncio.run(publish())
     assert quarantined == [list(warehouse.views)[0]], f"seed={seed}: {quarantined}"
+
+
+# ----------------------------------------------------------------------
+# chained refresh: every carried-forward result equals a from-scratch run
+# ----------------------------------------------------------------------
+#: sources added to the generated corpus so the chain can shrink a
+#: multi-statement source, widen a CREATE TABLE and add a self-reading INSERT
+CHAIN_SOURCES = {
+    "chain_multi": (
+        "CREATE VIEW chain_m1 AS SELECT s.id FROM base_0 s; "
+        "CREATE VIEW chain_m2 AS SELECT s.id FROM chain_m1 s; "
+        "CREATE VIEW chain_m3 AS SELECT * FROM chain_m2"
+    ),
+    "chain_mr": "CREATE VIEW chain_mr AS SELECT s.id FROM chain_m2 s",
+    "chain_ddl": "CREATE TABLE chain_t (x integer, y integer)",
+    "chain_tr": "CREATE VIEW chain_tr AS SELECT * FROM chain_t",
+    "chain_trr": "CREATE VIEW chain_trr AS SELECT s.x, s.y FROM chain_tr s",
+}
+
+
+def _chain_deltas(warehouse, graph, dag, seed):
+    """Ten successive deltas, one of each refresh shape."""
+    import random
+
+    rng = random.Random(seed * 31 + 7)
+    read = sorted(
+        name for name, sql in warehouse.views.items()
+        if sql.startswith("CREATE VIEW") and dag.dependents.get(name)
+    )
+    preserving, changing, reordered, removed = rng.sample(
+        [name for name in read if len(set(graph.columns_of(name))) > 1], 4
+    )
+    relations = sorted(graph.relations)
+
+    def rewrap(name, projection):
+        head, body = warehouse.views[name].split(" AS ", 1)
+        return f"{head} AS SELECT {projection} FROM ({body}) v"
+
+    def append(name):
+        relation = rng.choice(relations)
+        column = rng.choice(graph.columns_of(relation))
+        return f"CREATE VIEW {name} AS SELECT s.{column} AS appended FROM {relation} s"
+
+    columns = graph.columns_of(reordered)
+    return [
+        ("append", {"chain_a0": append("chain_a0")}),
+        ("append-chain", {
+            "chain_a2": "CREATE VIEW chain_a2 AS SELECT s.appended FROM chain_a1 s",
+            "chain_a1": append("chain_a1"),
+        }),
+        ("preserving", {preserving: rewrap(preserving, "v.*")}),
+        ("changing", {changing: rewrap(changing, "v.*, 1 AS chain_extra")}),
+        ("reorder", {
+            reordered: rewrap(reordered, ", ".join(f"v.{c}" for c in reversed(columns))),
+        }),
+        ("removal", {removed: None}),
+        ("re-add", {removed: warehouse.views[removed]}),
+        ("shrink", {"chain_multi": "CREATE VIEW chain_m1 AS SELECT s.id FROM base_0 s"}),
+        ("self-read", {"chain_ins": "INSERT INTO chain_t SELECT * FROM chain_t"}),
+        ("widen", {"chain_ddl": "CREATE TABLE chain_t (x integer, y integer, z integer)"}),
+    ]
+
+
+def _dag_rows(dag):
+    return (
+        dag.nodes, dag.dependencies, dag.dependents, dag.readers, dag.references,
+        dag.waves(),
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("cached", [False, True], ids=["memory", "store"])
+def test_chained_refresh_equivalence(seed, cached, tmp_path):
+    """Ten deltas applied one after another, each to the previous
+    carried-forward result: after every one, the render, hashes, Query
+    Dictionary, DAG rows and waves and unresolved entries equal a
+    from-scratch run's, and the re-extracted entries are exactly the
+    oracle's, in the full run's topological order.  With a persistent
+    store, an oracle entry may splice from the store instead (the re-add
+    of a removed view hits its first record, and so do its readers) and
+    is then missing from the order, nothing else."""
+    from tests.core.test_incremental import apply_changes, expected_reextracted
+
+    warehouse = _warehouse(seed)
+    runner = LineageXRunner(catalog=warehouse.catalog())
+    store = LineageStore(tmp_path / "cache") if cached else None
+    sources = {**warehouse.views, **CHAIN_SOURCES}
+    try:
+        current = LineageXRunner(catalog=warehouse.catalog(), store=store).run(sources)
+        previous = runner.run(sources)
+        deltas = _chain_deltas(warehouse, current.graph, current.dag, seed)
+        store_hits = 0
+        for step, (shape, changes) in enumerate(deltas):
+            sources = apply_changes(sources, changes)
+            current = current.update(changes)
+            full = runner.run(sources)
+            axis = f"chain-{step}-{shape}"
+            _assert_equivalent(
+                seed, warehouse, axis, graph_to_csv(full.graph), graph_to_csv(current.graph)
+            )
+            where = f"seed={seed}, {axis}"
+            assert current.source_hashes == full.source_hashes, where
+            assert (
+                current.query_dictionary.identifiers() == full.query_dictionary.identifiers()
+            ), where
+            assert _dag_rows(current.dag) == _dag_rows(full.dag), where
+            assert current.report.unresolved == full.report.unresolved, where
+            expected = expected_reextracted(previous, full) - full.report.unresolved.keys()
+            hits = current.report.store_hits
+            assert hits <= expected, where
+            assert current.report.order == [
+                name for name in full.dag.topological_order()
+                if name in expected and name not in hits
+            ], where
+            store_hits += len(hits)
+            previous = full
+    finally:
+        if store is not None:
+            store.close()
+    assert (store_hits > 0) == cached, f"seed={seed}: {store_hits} store hits"

@@ -143,6 +143,30 @@ class TestRunnerWarmStart:
         assert diff_graphs(reverted.graph, baseline.graph).is_identical
         store.close()
 
+    def test_revert_of_a_read_view_hits_the_store_for_its_readers(self, tmp_path):
+        # the edit widens staging, so report is re-extracted against the
+        # wider columns; the revert narrows it back, and report's record
+        # keyed on the original columns is still in the store
+        store = LineageStore(tmp_path / "cache")
+        runner = LineageXRunner(store=store)
+        baseline = runner.run(SQL)
+        edited = baseline.update(
+            {"staging": "CREATE VIEW staging AS SELECT cid, page, date FROM web"}
+        )
+        assert edited.report.order == ["staging", "report"]
+        reverted = edited.update(
+            {
+                "staging": "CREATE VIEW staging AS SELECT cid, page FROM web "
+                "WHERE date > '2024-01-01'"
+            }
+        )
+        assert reverted.report.order == []
+        assert reverted.report.reused_from["staging"] == "store"
+        assert reverted.report.reused_from["report"] == "store"
+        assert reverted.stats()["num_reused_store"] == 2
+        assert diff_graphs(reverted.graph, baseline.graph).is_identical
+        store.close()
+
 
 class TestSessionWarmStart:
     def test_sessions_share_the_store_across_processes(self, tmp_path):
