@@ -25,6 +25,9 @@ structure to answer the same queries in O(answer size):
   classified by a table lookup, and only genuinely mixed nodes pay a
   short in-edge scan (matching the BFS semantics exactly: a reached
   node's kinds are the kinds of its in-edges from reached predecessors).
+* **Position-domain arrays** per direction (numpy), so the query-time
+  forest walk claims a whole subtree with one slice assignment and
+  classifies an answer with a few mask-gathers.
 * **Table-level orders** (the exact Kahn order of
   :mod:`repro.analysis.ordering`, cached) so ``/ordering`` readers answer
   from the snapshot without re-traversing.
@@ -38,18 +41,15 @@ forest and old→new edges become exception entries, leaving the existing
 labelling untouched.  Anything else falls back to a full build.
 """
 
+import numpy as _np
+
 from ..core.lineage import EDGE_BOTH, EDGE_CONTRIBUTE, EDGE_REFERENCE
 from ..core.errors import CyclicDependencyError
-
-try:  # the vector fast path; the pure-Python walk below is the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
-    _np = None
 
 _DOWN = "downstream"
 _UP = "upstream"
 
-#: kind bitmasks used by the partition fast path
+#: kind bitmasks used by the partition walk
 _KIND_BITS = {EDGE_CONTRIBUTE: 1, EDGE_REFERENCE: 2, EDGE_BOTH: 3}
 
 #: bound on memoised (start, direction) partitions per index instance
@@ -173,10 +173,9 @@ class NameSet:
 
 
 class _Vectors:
-    """One direction's position-domain arrays for the numpy fast path."""
+    """One direction's position-domain arrays for the forest walk."""
 
     __slots__ = (
-        "order_np",      # position -> comp id (int64)
         "ones",          # \x01 template for claiming slices of the seen map
         "post_ints",     # position -> end of descendant slice (plain list)
         "indptr_ints",   # position -> exception CSR offset (plain list)
@@ -185,7 +184,6 @@ class _Vectors:
         "cls_pos",       # position -> singleton purity class, -1 multi (int8)
         "names_pos",     # position -> singleton member's name or None
         "sole_pos",      # position -> singleton member's node id or -1
-        "node_pos",      # node id -> its component's position (int64)
         "names_np",      # node id -> column name (object)
         "mixed_ptr",     # node id -> row in the mixed CSRs, or -1 (int64)
         "mixed_rows",    # number of mixed-purity nodes
@@ -362,7 +360,6 @@ class ReachabilityIndex:
         "_comp_of", "_members", "_cyclic",
         "_forests",
         "_pure",
-        "_mixed_in",
         "_vector",
         "_cache",
         "_table_cache",
@@ -442,22 +439,12 @@ class ReachabilityIndex:
             _DOWN: self._purity(reverse, ids, n),
             _UP: self._purity(forward, ids, n),
         }
-        # eager scan groups for every mixed-purity node: first-query
-        # latency must not pay a per-node conversion the build can do once
-        self._mixed_in = {_DOWN: {}, _UP: {}}
-        for direction, in_adjacency in ((_DOWN, reverse), (_UP, forward)):
-            pure = self._pure[direction]
-            for node in in_adjacency:
-                node_id = ids[node]
-                if not pure[node_id]:
-                    self._mixed_edges(node_id, direction)
         self._cache = {}
         self._vector = {}
-        if _np is not None:
-            # eager: a frozen snapshot's first /impact reader must not pay
-            # the position-array derivation inside its own latency
-            self._vectors(_DOWN)
-            self._vectors(_UP)
+        # eager: a frozen snapshot's first /impact reader must not pay
+        # the position-array derivation inside its own latency
+        self._vectors(_DOWN)
+        self._vectors(_UP)
         return self
 
     @staticmethod
@@ -572,18 +559,10 @@ class ReachabilityIndex:
             # identical edge set (rows rebuilt, content unchanged): the
             # labelling, and the memos derived from it, carry over untouched
             for slot in ("_names", "_ids", "_comp_of", "_members", "_cyclic",
-                         "_forests", "_pure", "_mixed_in", "_vector"):
+                         "_forests", "_pure", "_vector"):
                 setattr(clone, slot, getattr(self, slot))
             return clone
 
-        # scan groups carry over by copy: downstream in-edges of old nodes
-        # are untouched by an append; upstream groups are dropped exactly
-        # for the old nodes that gained out-edges (rebuilt lazily), and
-        # new nodes fill in lazily on first query
-        up_groups = dict(self._mixed_in[_UP])
-        for old_id in gained:
-            up_groups.pop(old_id, None)
-        clone._mixed_in = {_DOWN: dict(self._mixed_in[_DOWN]), _UP: up_groups}
         # position arrays are derived lazily on the clone: the refresh
         # itself stays delta-sized, and the first query per direction
         # re-derives in vectorised time
@@ -687,45 +666,26 @@ class ReachabilityIndex:
     # ------------------------------------------------------------------
     # Column-level queries
     # ------------------------------------------------------------------
-    def _closure_comps(self, start_comp, forest):
-        pre = forest.pre
-        post = forest.post
-        order = forest.order
-        exceptions = forest.exceptions
-        seen = set()
-        pending = [start_comp]
-        while pending:
-            comp = pending.pop()
-            if comp in seen:
-                continue
-            for member in order[pre[comp]:post[comp]]:
-                if member in seen:
-                    continue
-                seen.add(member)
-                extra = exceptions[member]
-                if extra:
-                    pending.extend(extra)
-        return seen
-
     def closure(self, column, direction=_DOWN):
         """Node ids strictly reachable from ``column`` (BFS-equivalent set).
 
         The start itself is included exactly when it can reach itself —
         i.e. it sits in a cyclic component (self-read or larger cycle) —
-        matching the BFS, which only reports re-reached starts.
+        matching the BFS, which only reports re-reached starts.  Unlike
+        :meth:`partition` it memoises no answer.
         """
         start_id = self._ids.get(column)
         if start_id is None:
             return ()
-        forest = self._forests[direction]
         start_comp = self._comp_of[start_id]
-        comps = self._closure_comps(start_comp, forest)
+        _, seen_raw, seen_u8, p0 = self._walk(start_comp, direction)
         if not self._cyclic[start_comp]:
-            comps.discard(start_comp)
+            seen_raw[p0] = 0
+        order = self._forests[direction].order
         members = self._members
         reached = []
-        for comp in comps:
-            reached.extend(members[comp])
+        for pos in _np.flatnonzero(seen_u8).tolist():
+            reached.extend(members[order[pos]])
         return reached
 
     def partition(self, column, direction=_DOWN):
@@ -746,123 +706,33 @@ class ReachabilityIndex:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        if _np is not None:
-            parts = self._partition_vector(start_id, direction)
-        else:
-            parts = self._partition_python(start_id, direction)
+        parts = self._partition_vector(start_id, direction)
         result = tuple(NameSet(names) for names in parts)
         if len(self._cache) >= _RESULT_CACHE_LIMIT:
             self._cache.clear()
         self._cache[key] = result
         return result
 
-    def _partition_python(self, start_id, direction):
-        """Pure-Python partition walk (the no-numpy fallback).
-
-        One fused pass: classify members while the forest walk discovers
-        them, instead of materialising the closure and re-iterating it.
-        Pure-purity nodes (the overwhelming majority) are classified
-        inline from the static per-node class; mixed nodes are deferred
-        until the walk completes, because their class depends on which
-        of their in-edge sources are reached — answered at component
-        granularity via the walk's ``seen`` set (an acyclic start
-        component is a singleton, so its presence can never mark a
-        non-reached sibling as a member).
-        """
-        start_comp = self._comp_of[start_id]
-        skip_start = None if self._cyclic[start_comp] else start_id
-        forest = self._forests[direction]
-        pre = forest.pre
-        post = forest.post
-        order = forest.order
-        exceptions = forest.exceptions
-        members = self._members
-        name_at = self._names.__getitem__
-        comp_at = self._comp_of.__getitem__
-        pure_at = self._pure[direction].__getitem__
-        mixed_cache = self._mixed_in[direction]
-
-        contributed = []
-        referenced = []
-        both = []
-        deferred = []
-        seen = set()
-        seen_add = seen.add
-        pending = [start_comp]
-        while pending:
-            comp = pending.pop()
-            if comp in seen:
-                continue
-            for member_comp in order[pre[comp]:post[comp]]:
-                if member_comp in seen:
-                    continue
-                seen_add(member_comp)
-                extra = exceptions[member_comp]
-                if extra:
-                    pending.extend(extra)
-                for node_id in members[member_comp]:
-                    if node_id == skip_start:
-                        continue
-                    bits = pure_at(node_id)
-                    if bits == 1:
-                        contributed.append(name_at(node_id))
-                    elif bits == 2:
-                        referenced.append(name_at(node_id))
-                    elif bits == 3:
-                        both.append(name_at(node_id))
-                    else:
-                        deferred.append(node_id)
-
-        for node_id in deferred:
-            entry = mixed_cache.get(node_id)
-            if entry is None:
-                entry = self._mixed_edges(node_id, direction)
-            both_sources, contribute_sources, reference_sources = entry
-            bits = 0
-            for u in both_sources:
-                if comp_at(u) in seen:
-                    bits = 3
-                    break
-            if bits != 3:
-                for u in contribute_sources:
-                    if comp_at(u) in seen:
-                        bits = 1
-                        break
-                for u in reference_sources:
-                    if comp_at(u) in seen:
-                        bits |= 2
-                        break
-            if bits == 1:
-                contributed.append(name_at(node_id))
-            elif bits == 2:
-                referenced.append(name_at(node_id))
-            elif bits == 3:
-                both.append(name_at(node_id))
-
-        return contributed, referenced, both
-
     def _vectors(self, direction):
-        """Position-domain arrays for the numpy partition walk (memoised).
+        """Position-domain arrays for the forest walk (memoised).
 
         Everything is re-indexed from component ids to *preorder
         positions* so the walk operates on contiguous slices of flat
-        arrays: ``post_pos[i]`` is the end of the descendant slice of the
-        component at position ``i``; the CSR pair ``exc_indptr``/
+        arrays: ``post_ints[i]`` is the end of the descendant slice of the
+        component at position ``i``; the CSR pair ``indptr_ints``/
         ``exc_data`` holds every exception target (as a position) for the
         component at each position, so one slice fetches the exceptions
         of an entire subtree; ``cls_pos`` is the purity class of the sole
         member of a singleton component (``-1`` flags multi-member
         components, resolved member-by-member in Python — they are rare);
         ``names_pos``/``sole_pos`` carry the singleton's column name and
-        node id; ``node_pos`` maps any node id to its component's
-        position for mixed-kind membership tests.
+        node id.
         """
         forest = self._forests[direction]
         order = forest.order
         pre = forest.pre
         n_comp = len(order)
         vec = _Vectors()
-        vec.order_np = _np.array(order, dtype=_np.int64)
         vec.ones = b"\x01" * n_comp
         # scalar-indexed arrays stay plain lists: the walk reads them one
         # int at a time, where list indexing beats numpy scalar boxing
@@ -905,19 +775,11 @@ class ReachabilityIndex:
         vec.cls_pos = _np.array(cls_list, dtype=_np.int8)
         vec.names_pos = names_pos
         vec.sole_pos = sole_pos
-
-        if self._comp_of:
-            vec.node_pos = _np.array(pre, dtype=_np.int64)[
-                _np.array(self._comp_of, dtype=_np.int64)
-            ]
-        else:
-            vec.node_pos = _np.empty(0, dtype=_np.int64)
         vec.names_np = _np.fromiter(names, dtype=object, count=n)
 
         # mixed-purity in-edge sources as kind-grouped CSRs over source
         # *positions*: one reduceat over the whole population classifies
-        # every reached mixed node per query, replacing the per-node
-        # Python source scans of the fallback
+        # every reached mixed node per query
         in_adjacency = self._reverse if direction == _DOWN else self._forward
         ids = self._ids
         comp_of = self._comp_of
@@ -954,21 +816,20 @@ class ReachabilityIndex:
         self._vector[direction] = vec
         return vec
 
-    def _partition_vector(self, start_id, direction):
-        """Vectorised partition walk over the position-domain arrays.
+    def _walk(self, start_comp, direction):
+        """The forest walk from ``start_comp``: ``(vec, seen_raw, seen_u8, p0)``.
 
-        The forest walk becomes slice arithmetic: each stack pop claims
-        one subtree's worth of unseen positions in a single boolean-mask
-        operation and batch-filters that whole subtree's exception
-        targets, so the per-edge Python loop of the fallback disappears.
-        Classification is three mask-gathers over the singleton purity
-        array; only multi-member components and genuinely mixed-kind
-        nodes drop back to per-node Python.
+        The walk is slice arithmetic over the position-domain arrays:
+        each stack pop claims one subtree's worth of unseen positions in
+        a single slice assignment and batch-filters that whole subtree's
+        exception targets.  ``seen_raw`` (a bytearray) and ``seen_u8``
+        (its numpy view) mark exactly the positions reached from the
+        start's position ``p0``, which is marked whether or not the start
+        can reach itself.  Nothing is memoised but the position arrays.
         """
         vec = self._vector.get(direction)
         if vec is None:
             vec = self._vectors(direction)
-        start_comp = self._comp_of[start_id]
         p0 = self._forests[direction].pre[start_comp]
 
         post_ints = vec.post_ints
@@ -979,7 +840,7 @@ class ReachabilityIndex:
         # the seen map lives in a bytearray (C-speed scalar reads and
         # slice claims) with a shared-memory numpy view for the batched
         # operations — both see every write instantly
-        seen_raw = bytearray(len(vec.order_np))
+        seen_raw = bytearray(len(post_ints))
         seen_u8 = _np.frombuffer(seen_raw, dtype=_np.uint8)
         stack = [p0]
         pop = stack.pop
@@ -1006,6 +867,17 @@ class ReachabilityIndex:
                 new = cand[seen_u8[cand] == 0]
                 if new.size:
                     extend(new.tolist())
+        return vec, seen_raw, seen_u8, p0
+
+    def _partition_vector(self, start_id, direction):
+        """Partition of the positions :meth:`_walk` reaches from ``start_id``.
+
+        Classification is three mask-gathers over the singleton purity
+        array; only multi-member components and genuinely mixed-kind
+        nodes drop back to per-node Python.
+        """
+        start_comp = self._comp_of[start_id]
+        vec, seen_raw, seen_u8, p0 = self._walk(start_comp, direction)
 
         # ``seen`` is now exactly the closure's position set; an acyclic
         # start is excluded from its own answer (matching the BFS, which
@@ -1113,7 +985,7 @@ class ReachabilityIndex:
         population: a node's answer class is 3 when any "both"-kind
         in-edge source is reached, else the OR of 1 (any reached
         contribute source) and 2 (any reached reference source) —
-        identical to the fallback's per-node early-exit scans.
+        identical to :meth:`_mixed_bits_one`'s per-row early-exit scans.
         """
         rows = vec.mixed_rows
 
@@ -1138,25 +1010,6 @@ class ReachabilityIndex:
         )
         bits[has_both] = 3
         return bits
-
-    def _mixed_edges(self, node_id, direction):
-        """In-edge source ids of a mixed-purity node, grouped by edge kind.
-
-        ``(both, contribute, reference)`` int tuples, memoised per node —
-        the partition scan then tests small int sets (with per-group early
-        exit) instead of iterating string-keyed adjacency dicts on every
-        query.  Derivation is pure (the adjacency captured at build), so
-        the memo can never go stale within one index version.
-        """
-        in_adjacency = self._reverse if direction == _DOWN else self._forward
-        ids = self._ids
-        groups = ([], [], [])
-        for source, kind in in_adjacency[self._names[node_id]].items():
-            bits = _KIND_BITS[kind]
-            groups[0 if bits == 3 else bits].append(ids[source])
-        entry = (tuple(groups[0]), tuple(groups[1]), tuple(groups[2]))
-        self._mixed_in[direction][node_id] = entry
-        return entry
 
     def knows(self, column):
         """Whether ``column`` is a node of the indexed edge set."""

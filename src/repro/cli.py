@@ -47,7 +47,7 @@ import sys
 from . import __version__
 from .analysis.impact import impact_report
 from .analysis.selector import SelectorError, selector_impact
-from .core.errors import UnknownColumnError
+from .core.errors import CyclicDependencyError, UnknownColumnError
 from .catalog.introspect import catalog_from_sql
 from .output.registry import renderer_names
 from .session import ENGINES, LineageSession, SessionConfig
@@ -753,9 +753,15 @@ def run(argv=None, stdout=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] in SUBCOMMANDS:
         args = build_subcommand_parser().parse_args(argv)
-        return args.handler(args, stdout)
-    args = build_parser().parse_args(argv)
-    return _legacy_run(args, stdout)
+        handler = args.handler
+    else:
+        args = build_parser().parse_args(argv)
+        handler = _legacy_run
+    try:
+        return handler(args, stdout)
+    except CyclicDependencyError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 def main():  # pragma: no cover - thin wrapper

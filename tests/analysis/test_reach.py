@@ -10,7 +10,7 @@ against later mutation of the source graph.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.analysis.impact import impact_analysis
 from repro.analysis.ordering import creation_order, root_tables, terminal_views
@@ -73,14 +73,19 @@ def _partition(result):
     )
 
 
+def _all_starts(graph):
+    """Every column with an edge, plus ``t0.c0`` (edgeless in some recipes)."""
+    columns = set(graph.column_adjacency("downstream"))
+    columns |= set(graph.column_adjacency("upstream"))
+    columns.add(ColumnName.of("t0", "c0"))
+    return sorted(columns)
+
+
 def _assert_index_matches_bfs(graph, index_graph=None):
     """Index results on ``index_graph`` must equal BFS on ``graph``."""
     if index_graph is None:
         index_graph = graph
-    columns = set(graph.column_adjacency("downstream"))
-    columns |= set(graph.column_adjacency("upstream"))
-    columns.add(ColumnName.of("t0", "c0"))
-    for column in sorted(columns):
+    for column in _all_starts(graph):
         for direction in ("downstream", "upstream"):
             bfs = impact_analysis(graph, column, direction=direction, method="bfs")
             indexed = impact_analysis(index_graph, column, direction=direction)
@@ -97,29 +102,49 @@ prop_settings = settings(
 )
 
 
-@pytest.fixture(scope="class", params=["numpy", "python"])
-def partition_walk(request):
-    """Run the class once per partition walk: the numpy one (skipped when
-    numpy is not installed) and the pure-Python one (``reach._np = None``,
-    the switch :class:`TestPythonFallback` uses)."""
-    import repro.analysis.reach as reach_module
-
-    numpy = reach_module._np
-    if request.param == "numpy" and numpy is None:
-        pytest.skip("numpy is not installed")
-    if request.param == "python":
-        reach_module._np = None
-    yield request.param
-    reach_module._np = numpy
+#: a self-read on t1, the t3 <-> t4 cycle, and mixed edge kinds
+_CYCLIC_MIXED_RECIPE = (
+    6,
+    [
+        (0, [(1, 0, 0, False), (2, 1, 1, True)]),
+        (1, [(2, 0, 0, False), (1, 1, 2, False)]),   # self-read
+        (2, [(0, 2, 1, True), (3, 0, 0, False)]),
+        (3, [(4, 1, 1, False), (0, 0, 0, True)]),
+        (4, [(5, 2, 2, False), (3, 1, 0, False)]),   # 3 <-> 4 cycle
+        (5, [(0, 0, 1, True), (2, 2, 2, False)]),
+    ],
+)
 
 
-@pytest.mark.usefixtures("partition_walk")
 class TestIndexEqualsBfs:
     @prop_settings
     @given(recipe=_recipe)
+    @example(recipe=_CYCLIC_MIXED_RECIPE)
     def test_frozen_index_matches_bfs(self, recipe):
         graph = _build_graph(recipe)
         _assert_index_matches_bfs(graph, graph.freeze())
+
+    @prop_settings
+    @given(recipe=_recipe)
+    @example(recipe=_CYCLIC_MIXED_RECIPE)
+    def test_closure_is_the_partition_union(self, recipe):
+        """``closure()`` reaches what ``partition()`` reaches and memoises
+        nothing: perfbench ranks its /impact starts by closure size, and a
+        memoised start would be answered from the memo instead of walked."""
+        graph = _build_graph(recipe)
+        index = graph.freeze().reachability()
+        closures = {}
+        for column in _all_starts(graph):
+            for direction in ("downstream", "upstream"):
+                reached = index.closure(column, direction)
+                assert len(reached) == len(set(reached))
+                closures[column, direction] = {index._names[i] for i in reached}
+        assert index._cache == {}
+        for (column, direction), names in closures.items():
+            contributed, referenced, both = index.partition(column, direction)
+            assert names == contributed | referenced | both, (
+                f"{column} {direction}: closure != partition union"
+            )
 
     @prop_settings
     @given(recipe=_recipe)
@@ -243,7 +268,6 @@ def _index_state(index):
     )
 
 
-@pytest.mark.usefixtures("partition_walk")
 class TestIndexPatch:
     """Every snapshot's adjacency index is the previous one patched; over
     random add, replace, remove, move and in-place edit sequences the chain
@@ -380,65 +404,3 @@ class TestQuerySurface:
             "nodes", "components", "cyclic_components",
             "exceptions_downstream", "exceptions_upstream", "revision",
         }
-
-
-class TestPythonFallback:
-    """With numpy absent (``reach._np = None``) the index must build and
-    answer identically — the pure-Python walk is the portability floor the
-    vectorised path is differentially checked against."""
-
-    _RECIPE = (
-        6,
-        [
-            (0, [(1, 0, 0, False), (2, 1, 1, True)]),
-            (1, [(2, 0, 0, False), (1, 1, 2, False)]),   # self-read
-            (2, [(0, 2, 1, True), (3, 0, 0, False)]),
-            (3, [(4, 1, 1, False), (0, 0, 0, True)]),
-            (4, [(5, 2, 2, False), (3, 1, 0, False)]),   # 3 <-> 4 cycle
-            (5, [(0, 0, 1, True), (2, 2, 2, False)]),
-        ],
-    )
-
-    def _all_starts(self, graph):
-        columns = set(graph.column_adjacency("downstream"))
-        columns |= set(graph.column_adjacency("upstream"))
-        return sorted(columns)
-
-    def test_fallback_build_matches_numpy_and_bfs(self, monkeypatch):
-        import repro.analysis.reach as reach_module
-
-        numpy_frozen = _build_graph(self._RECIPE).freeze()
-        monkeypatch.setattr(reach_module, "_np", None)
-        graph = _build_graph(self._RECIPE)
-        frozen = graph.freeze()
-        # no position arrays are derived when numpy is unavailable
-        assert frozen.reachability()._vector == {}
-        _assert_index_matches_bfs(graph, frozen)
-        for column in self._all_starts(graph):
-            for direction in ("downstream", "upstream"):
-                assert _partition(
-                    impact_analysis(frozen, column, direction=direction)
-                ) == _partition(
-                    impact_analysis(numpy_frozen, column, direction=direction)
-                )
-
-    def test_numpy_built_index_answers_without_numpy(self, monkeypatch):
-        """Dispatch is per query: an index built with numpy keeps serving
-        (via the Python walk) if numpy disappears afterwards."""
-        import repro.analysis.reach as reach_module
-
-        graph = _build_graph(self._RECIPE)
-        frozen = graph.freeze()
-        expected = {
-            (column, direction): _partition(
-                impact_analysis(frozen, column, direction=direction)
-            )
-            for column in self._all_starts(graph)
-            for direction in ("downstream", "upstream")
-        }
-        frozen.reachability()._cache.clear()
-        monkeypatch.setattr(reach_module, "_np", None)
-        for (column, direction), parts in expected.items():
-            assert _partition(
-                impact_analysis(frozen, column, direction=direction)
-            ) == parts

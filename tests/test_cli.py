@@ -207,6 +207,26 @@ class TestVersionFlag:
         assert repro.__version__ in capsys.readouterr().out
 
 
+class TestCyclicInput:
+    """Two views reading each other are an input error: exit status 2 and
+    one line on stderr, from both the subcommand and the legacy form."""
+
+    @pytest.fixture
+    def cyclic_dir(self, tmp_path):
+        (tmp_path / "a.sql").write_text("CREATE VIEW a AS SELECT x FROM b;\n")
+        (tmp_path / "b.sql").write_text("CREATE VIEW b AS SELECT x FROM a;\n")
+        return str(tmp_path)
+
+    @pytest.mark.parametrize("prefix", [("extract",), ()], ids=["extract", "legacy"])
+    def test_cycle_exits_2_with_one_line(self, prefix, cyclic_dir, capsys):
+        code, output = run_cli(*prefix, cyclic_dir)
+        assert code == 2
+        assert output == ""
+        assert capsys.readouterr().err == (
+            "error: cyclic dependency among queries: a -> b -> a\n"
+        )
+
+
 class TestSubcommands:
     def test_extract_text(self, example1_file):
         code, output = run_cli("extract", example1_file)
