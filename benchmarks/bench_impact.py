@@ -179,7 +179,6 @@ async def _bench_busy_serving(tmp_dir):
     app = LineageApp(
         catalog=warehouse.catalog(),
         cache_dir=os.path.join(tmp_dir, "cache"),
-        batch_window=0.002,
     )
     host, port = await app.start(port=0)
     try:

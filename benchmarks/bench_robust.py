@@ -129,7 +129,6 @@ async def _cold_ingest(tmp_dir, tag, journal_dir):
     app = LineageApp(
         catalog=warehouse.catalog(),
         cache_dir=os.path.join(tmp_dir, f"cache-{tag}"),
-        batch_window=0.002,
         journal_dir=journal_dir,
     )
     host, port = await app.start(port=0)
@@ -159,7 +158,6 @@ async def _bench_recovery(tmp_dir):
     app = LineageApp(
         catalog=warehouse.catalog(),
         cache_dir=cache_dir,
-        batch_window=0.002,
         journal_dir=journal_dir,
     )
     host, port = await app.start(port=0)
@@ -179,7 +177,6 @@ async def _bench_recovery(tmp_dir):
     revived = LineageApp(
         catalog=warehouse.catalog(),
         cache_dir=cache_dir,
-        batch_window=0.002,
         journal_dir=journal_dir,
     )
     started = time.perf_counter()
@@ -216,7 +213,6 @@ async def _bench_faulty_serving(tmp_dir):
         catalog=warehouse.catalog(),
         cache_dir=os.path.join(tmp_dir, "faulty-cache"),
         cache_shards=4,
-        batch_window=0.002,
     )
     host, port = await app.start(port=0)
     faults.install(

@@ -139,7 +139,6 @@ async def _bench_view_tier(tmp_dir):
     app = LineageApp(
         catalog=warehouse.catalog(),
         cache_dir=os.path.join(tmp_dir, "cache"),
-        batch_window=0.002,
     )
     host, port = await app.start(port=0)
     metrics = {"tier": VIEW_TIER}
@@ -230,7 +229,6 @@ async def _bench_scale_tier(tmp_dir):
     app = LineageApp(
         cache_dir=os.path.join(tmp_dir, "scale-cache"),
         catalog=warehouse.catalog(),
-        batch_window=0.002,
     )
     host, port = await app.start(port=0)
     try:

@@ -52,6 +52,8 @@ from .catalog.introspect import catalog_from_sql
 from .output.registry import renderer_names
 from .session import ENGINES, LineageSession, SessionConfig
 from .sources import DbtSource, Source
+from .sources.base import read_sql_file
+from .sqlparser import SQLError
 
 SUBCOMMANDS = ("extract", "impact", "render", "refresh", "cache", "serve", "stream")
 
@@ -338,11 +340,6 @@ def build_subcommand_parser():
         help="shard count for a NEWLY created store at --cache-dir",
     )
     serve.add_argument(
-        "--batch-window-ms", type=float, metavar="MS", default=10.0,
-        help="how long the ingest loop gathers concurrent /extract requests "
-        "into one micro-batch (default: 10 ms)",
-    )
-    serve.add_argument(
         "--journal-dir", metavar="DIR", default=None,
         help="ingest write-ahead journal: every accepted statement is "
         "fsync'd here before extraction, and a restarted daemon replays "
@@ -441,12 +438,21 @@ def _load_source(path):
     return path
 
 
+def _load_catalog(path):
+    """The catalog a ``--catalog`` DDL file declares (``None`` without one);
+    an error in the file names the file."""
+    if not path:
+        return None
+    try:
+        return catalog_from_sql(read_sql_file(path))
+    except SQLError as error:
+        error.filename = path
+        raise
+
+
 def _session_from_args(args):
     """Build a configured :class:`LineageSession` from parsed arguments."""
-    catalog = None
-    if args.catalog:
-        with open(args.catalog, "r", encoding="utf-8") as handle:
-            catalog = catalog_from_sql(handle.read())
+    catalog = _load_catalog(args.catalog)
     raw = _load_source(args.input)
     source = DbtSource(raw) if args.dbt else Source.detect(raw)
     config = SessionConfig(
@@ -619,10 +625,7 @@ def _cmd_stream(args, stdout):
     if not os.path.isfile(args.input):
         print(f"error: {args.input!r} is not a query log file", file=sys.stderr)
         return 2
-    catalog = None
-    if args.catalog:
-        with open(args.catalog, "r", encoding="utf-8") as handle:
-            catalog = catalog_from_sql(handle.read())
+    catalog = _load_catalog(args.catalog)
     config = SessionConfig(
         strict=args.strict,
         use_stack=not args.no_stack,
@@ -694,10 +697,7 @@ def _cmd_serve(args, stdout):
     # activates before anything that has injection sites is constructed
     faults.install_from_env()
 
-    catalog = None
-    if args.catalog:
-        with open(args.catalog, "r", encoding="utf-8") as handle:
-            catalog = catalog_from_sql(handle.read())
+    catalog = _load_catalog(args.catalog)
     preload = None
     if args.input:
         raw = _load_source(args.input)
@@ -717,7 +717,6 @@ def _cmd_serve(args, stdout):
         cache_shards=args.cache_shards,
         catalog=catalog,
         strict=args.strict,
-        batch_window=args.batch_window_ms / 1000.0,
         journal_dir=args.journal_dir,
         journal_fsync=not args.no_journal_fsync,
         max_pending=args.max_pending or 0,
@@ -761,6 +760,16 @@ def run(argv=None, stdout=None):
         return handler(args, stdout)
     except CyclicDependencyError as error:
         print(f"error: {error}", file=sys.stderr)
+        return 2
+    except (SQLError, UnicodeDecodeError) as error:
+        # input the parser or the UTF-8 decoder refuses: name the file or
+        # statement it came from, else the input as given
+        where = (
+            getattr(error, "filename", None)
+            or getattr(error, "source_name", None)
+            or getattr(args, "input", None)
+        )
+        print(f"error: {where}: {error}", file=sys.stderr)
         return 2
 
 

@@ -379,6 +379,27 @@ class DependencyDAG:
         return order
 
     # ------------------------------------------------------------------
+    def cycle(self, identifier):
+        """The other nodes on a dependency cycle through ``identifier``
+        (the rest of its strongly connected component); empty when it lies
+        on none.  Every node on a cycle has no :attr:`level`, so the walk
+        never leaves the level-less nodes."""
+        level = self.level
+
+        def reached(edges):
+            seen = {identifier}
+            frontier = [identifier]
+            while frontier:
+                for name in edges.get(frontier.pop(), ()):
+                    if name not in seen and name not in level:
+                        seen.add(name)
+                        frontier.append(name)
+            return seen
+
+        members = reached(self.dependencies) & reached(self.dependents)
+        members.discard(identifier)
+        return members
+
     def transitive_dependents(self, names):
         """Every entry that transitively reads any relation in ``names``.
 

@@ -13,7 +13,8 @@ import os
 
 from .dag import statement_table_refs
 from .errors import LineageRecordError
-from ..sqlparser import ast, parse
+from ..sources.base import read_sql_file
+from ..sqlparser import SQLError, ast, parse
 from ..sqlparser.dialect import normalize_name
 from ..sqlparser.printer import canonical_sql_and_hash, content_hash_of, to_sql
 from ..sqlparser.visitor import created_name, query_of
@@ -364,7 +365,11 @@ def preprocess(source, id_generator=None, parse_cache=None, retain_asts=True):
             if records is not None:
                 records = _validated_fragment(records)
             if records is None:
-                statements = parse(sql)
+                try:
+                    statements = parse(sql)
+                except SQLError as error:
+                    error.source_name = default_name  # named in the CLI's error line
+                    raise
                 records = [_statement_record(statement) for statement in statements]
                 if parse_cache is not None:
                     parse_cache.put(sql, records)
@@ -693,12 +698,12 @@ def _iter_path(path):
     if os.path.isdir(path):
         for filename in sorted(os.listdir(path)):
             if filename.endswith(".sql"):
-                full = os.path.join(path, filename)
-                with open(full, "r", encoding="utf-8") as handle:
-                    yield normalize_name(os.path.splitext(filename)[0]), handle.read()
+                yield (
+                    normalize_name(os.path.splitext(filename)[0]),
+                    read_sql_file(os.path.join(path, filename)),
+                )
         return
-    with open(path, "r", encoding="utf-8") as handle:
-        yield None, handle.read()
+    yield None, read_sql_file(path)
 
 
 def _classify(statement):

@@ -47,10 +47,12 @@ give equal output, so the previous lineage is spliced instead — the "early
 cutoff" of build systems, which stops re-extraction at the first entry
 whose inputs did not change.  Any other pending entry is looked up in the
 persistent store (when there is one) by the column lists it reads now,
-before it is extracted.  The run's graph is the previous one derived
-(:meth:`~repro.core.lineage.LineageGraph.derive`) with just the entries
-that changed, and the report derives its whole-dictionary views (``waves``,
-``reused``, ``reused_from``) only when read.
+before it is extracted.  A pending entry that the DAG puts on a dependency
+cycle brings the rest of its cycle into the run, so the stack rejects the
+cycle exactly as a full run does.  The run's graph is the previous one
+derived (:meth:`~repro.core.lineage.LineageGraph.derive`) with just the
+entries that changed, and the report derives its whole-dictionary views
+(``waves``, ``reused``, ``reused_from``) only when read.
 """
 
 import heapq
@@ -384,6 +386,8 @@ class AutoInferenceScheduler:
         """Extract the pending entries by ``(level, position)``: the order of
         :meth:`DependencyDAG.waves`; entries on a cycle come last, by
         position, through the stack, which reports genuine cycles."""
+        for identifier in list(self.pending):
+            self._join_cycle(identifier)
         for identifier in self.pending:
             queue, item = self._queued(identifier)
             queue.append(item)
@@ -431,10 +435,16 @@ class AutoInferenceScheduler:
             self._suspect(reader)
 
     def _suspect(self, identifier):
-        """Add ``identifier`` to the run: a candidate when it has previous
-        lineage to splice, else an entry to extract."""
+        """Add ``identifier`` to the run, with the rest of its dependency
+        cycle if it lies on one (see :meth:`_join_cycle`)."""
         if identifier in self.examined:
             return  # pending, or settled already
+        self._examine(identifier)
+        self._join_cycle(identifier)
+
+    def _examine(self, identifier):
+        """Make ``identifier`` pending: a candidate when it has previous
+        lineage to splice, else an entry to extract."""
         self.examined[identifier] = None
         self.unresolved.pop(identifier, None)
         record = self.delta.previous_read(identifier)
@@ -444,6 +454,23 @@ class AutoInferenceScheduler:
         self.pending.add(identifier)
         if self._running:
             heapq.heappush(*self._queued(identifier))
+
+    def _join_cycle(self, identifier):
+        """Make the other members of ``identifier``'s dependency cycle
+        pending too, when the DAG puts it on one.
+
+        A full run holds every member pending, so the stack meets one
+        while extracting another and raises
+        :class:`CyclicDependencyError`.  An incremental run would otherwise
+        extract a changed member against the previous lineage of the
+        others and accept a graph that a full run refuses to build.
+        """
+        if self.delta is None or identifier in self.dag.level:
+            return
+        position = self.query_dictionary.positions
+        for member in sorted(self.dag.cycle(identifier), key=position.__getitem__):
+            if member not in self.examined:
+                self._examine(member)
 
     def _schema_snapshot(self, identifier):
         """``(schemas, pending)`` visible to one entry, as plain data.

@@ -13,9 +13,13 @@ or embed it::
     app.run(host="127.0.0.1", port=8765)
 
 Design in one paragraph: all writes (``POST /extract``) funnel through a
-single micro-batching ingest loop that dedupes statements against the
-session's applied text before parsing, journals every accepted novel
-statement (fsync'd) before extraction, and hands each batch to the
+single group-commit ingest loop (a batch starts as soon as the loop is
+idle and holds every request that queued while the previous batch ran;
+after a batch that answered n clients it waits, at most that batch's
+duration, for n again)
+that dedupes statements against the session's applied text before
+parsing, journals every accepted novel statement (fsync'd, once per
+batch) before extraction, and hands each batch to the
 shared ingest core (:mod:`repro.ingest`: one incremental ``refresh()``
 when the batch is clean, bisection when it is not) on a worker thread;
 after each successful batch an immutable frozen graph

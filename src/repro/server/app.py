@@ -5,9 +5,11 @@
 * a sourceless :class:`~repro.session.LineageSession` (optionally backed
   by a persistent store via ``cache_dir``) owned exclusively by the
   ingest loop;
-* an :class:`~repro.server.batcher.IngestBatcher` that dedupes and
-  micro-batches every ``POST /extract`` and hands each batch to the
-  shared ingest core (:mod:`repro.ingest`);
+* an :class:`~repro.server.batcher.IngestBatcher` that dedupes every
+  ``POST /extract`` and group-commits them: a batch holds whatever queued
+  while the previous one ran, waiting only for as many requests as that
+  one answered and never longer than it took; each goes to the shared
+  ingest core (:mod:`repro.ingest`);
 * a :class:`~repro.server.snapshot.SnapshotManager` publishing an
   immutable graph generation after each successful batch, which every
   read endpoint serves from without locking;
@@ -56,7 +58,6 @@ class LineageApp:
         cache_shards=None,
         catalog=None,
         strict=False,
-        batch_window=0.010,
         journal_dir=None,
         journal_fsync=True,
         max_pending=0,
@@ -93,7 +94,6 @@ class LineageApp:
         )
         self.batcher = IngestBatcher(
             session, self.snapshots, executor=self.executor,
-            batch_window=batch_window,
             journal=self.journal,
             quarantine=quarantine,
             max_pending=max_pending,

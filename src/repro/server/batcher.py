@@ -2,10 +2,16 @@
 
 All writes funnel through one :class:`IngestBatcher`.  ``POST /extract``
 handlers call :meth:`submit` and await the result; a single ingest task
-drains the queue, coalesces everything that arrived within the batch
-window into one micro-batch, and hands it to the shared ingest core
-(:mod:`repro.ingest`) in a worker thread so the event loop keeps
-serving reads.
+turns the queue into micro-batches by *group commit* (DeWitt et al.,
+SIGMOD 1984): it takes the first request and everything already queued
+behind it, with no fixed window, and hands the batch to the shared
+ingest core (:mod:`repro.ingest`) in a worker thread so the event loop
+keeps serving reads.  A lone request starts at once; requests that
+arrive while a batch runs wait in the queue and form the next one,
+sharing its journal fsync.  The loop keeps its clients' pace: after a
+batch that answered n requests, it waits until n are queued again, but
+never longer than that batch took, so closed-loop writers answered
+together stay in one batch.
 
 Deduplication keys on the **(view name, statement text)** pair, checked
 before any parsing against the session's record of applied text
@@ -17,8 +23,9 @@ bookkeeping of its own:
   duplicate-heavy workloads an order of magnitude faster than unique
   ones);
 * the same pair submitted twice inside one micro-batch (two concurrent
-  clients racing the same statement) is *coalesced*: one extraction,
-  both requests get the answer;
+  clients racing the same statement, queued together while the previous
+  batch ran) is *coalesced*: one extraction, both requests get the
+  answer;
 * a known view name arriving with new text is a *redefinition*: once it
   lands, the old text would extract again if resubmitted.
 
@@ -64,6 +71,7 @@ intermediate snapshots, which is the point).
 """
 
 import asyncio
+import time
 
 from .journal import JournalError
 from .. import ingest
@@ -89,13 +97,11 @@ class _PendingRequest:
 class IngestBatcher:
     """Serialises all graph writes into hash-deduped micro-batches."""
 
-    def __init__(self, session, snapshots, executor=None, batch_window=0.010,
-                 journal=None, quarantine=None, max_pending=0,
-                 max_batch_statements=0):
+    def __init__(self, session, snapshots, executor=None, journal=None,
+                 quarantine=None, max_pending=0, max_batch_statements=0):
         self._session = session
         self._snapshots = snapshots
         self._executor = executor
-        self._batch_window = batch_window
         self._journal = journal
         self.quarantine = quarantine if quarantine is not None else Quarantine()
         self._max_pending = int(max_pending or 0)
@@ -112,6 +118,10 @@ class IngestBatcher:
         # is clamped below them until the marks stick (compaction past an
         # unmarked poison offset would discard its fallback definition)
         self._unmarked_quarantined = set()
+        # the last client batch: how many requests it answered and how
+        # long it took, from journal append to reply (group commit's pace)
+        self._last_batch_requests = 0
+        self._last_batch_seconds = 0.0
         self.counters = {
             "requests": 0,
             "statements": 0,
@@ -208,9 +218,9 @@ class IngestBatcher:
         return await future
 
     def _retry_after_hint(self):
-        """A Retry-After guess: roughly how long the backlog takes to drain."""
-        depth = self._queue.qsize()
-        return max(1.0, depth * max(self._batch_window, 0.001) * 2)
+        """A Retry-After guess: the whole queue joins the next batch, so
+        the backlog drains in about one batch."""
+        return max(1.0, self._last_batch_seconds)
 
     # ------------------------------------------------------------------
     # ingest loop
@@ -221,17 +231,28 @@ class IngestBatcher:
             item = await self._queue.get()
             if item is _SHUTDOWN:
                 break
+            # group commit: the batch is this request and whatever queued
+            # behind it while the previous batch ran, so a lone writer
+            # never waits.  Clients answered together tend to come back
+            # together, though: after a batch that answered n requests,
+            # wait until n are queued, but no longer than that batch took
+            # (what running the stragglers as a batch of their own would
+            # cost).  Without it, closed-loop writers split into two
+            # batches that alternate, each paying the per-batch cost.
             pending = [item]
             done = False
-            deadline = loop.time() + self._batch_window
+            deadline = loop.time() + self._last_batch_seconds
             while True:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    extra = await asyncio.wait_for(self._queue.get(), remaining)
-                except asyncio.TimeoutError:
-                    break
+                if self._queue.empty():
+                    remaining = deadline - loop.time()
+                    if len(pending) >= self._last_batch_requests or remaining <= 0:
+                        break
+                    try:
+                        extra = await asyncio.wait_for(self._queue.get(), remaining)
+                    except asyncio.TimeoutError:
+                        break
+                else:
+                    extra = self._queue.get_nowait()
                 if extra is _SHUTDOWN:
                     done = True
                     break
@@ -316,6 +337,7 @@ class IngestBatcher:
 
         self.counters["batches"] += 1
         loop = asyncio.get_running_loop()
+        started = time.monotonic()
 
         # ---- durability first: journal every accepted novel statement
         # (fsync'd) before any extraction work starts
@@ -423,6 +445,9 @@ class IngestBatcher:
                 # eligibility); failing it loses nothing but disk
                 self.counters["journal_failures"] += 1
 
+        if splittable:  # client traffic; preload and replay set no pace
+            self._last_batch_requests = len(waiting)
+            self._last_batch_seconds = time.monotonic() - started
         version = self._snapshots.version
         for request in waiting:
             if request.future.done():

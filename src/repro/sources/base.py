@@ -89,6 +89,17 @@ def content_hash(text):
     return hashlib.sha256(str(text).encode("utf-8")).hexdigest()
 
 
+def read_sql_file(path):
+    """The text of one ``.sql`` file.  A file that is not UTF-8 raises
+    :class:`UnicodeDecodeError` with the file's path in ``filename``."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as error:
+            error.filename = path
+            raise
+
+
 def fingerprint_mapping(mapping):
     """Per-name content hashes for a ``{name: sql}`` payload."""
     return {name: content_hash(sql) for name, sql in mapping.items()}

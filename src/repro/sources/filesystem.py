@@ -9,7 +9,7 @@ the first and only the edited files re-extracted.
 
 import os
 
-from .base import Source, register_source
+from .base import Source, read_sql_file, register_source
 from ..sqlparser.dialect import normalize_name
 
 
@@ -76,9 +76,9 @@ class DirectorySource(Source):
         for filename in sorted(os.listdir(self.path)):
             if not filename.endswith(".sql"):
                 continue
-            full = os.path.join(self.path, filename)
-            with open(full, "r", encoding="utf-8") as handle:
-                mapping[normalize_name(os.path.splitext(filename)[0])] = handle.read()
+            mapping[normalize_name(os.path.splitext(filename)[0])] = read_sql_file(
+                os.path.join(self.path, filename)
+            )
         return mapping
 
     @property

@@ -27,7 +27,7 @@ import os
 
 import pytest
 
-from repro.core.errors import UnknownRelationError
+from repro.core.errors import CyclicDependencyError, UnknownRelationError
 from repro.core.extractor import LineageExtractor, SchemaProvider
 from repro.core.runner import LineageXRunner
 from repro.core.scheduler import AutoInferenceScheduler
@@ -440,7 +440,7 @@ def test_indexed_impact_serving_equivalence(seed):
     warehouse = _classic_warehouse(seed)
 
     async def serve():
-        app = LineageApp(catalog=warehouse.catalog(), batch_window=0.002)
+        app = LineageApp(catalog=warehouse.catalog())
         await app.start(port=0)
         try:
             await app.preload(dict(warehouse.views))
@@ -475,7 +475,7 @@ def test_crash_recovery_equivalence(seed, tmp_path):
     half = max(1, len(names) // 2)
 
     async def one_shot():
-        app = LineageApp(catalog=warehouse.catalog(), batch_window=0.002)
+        app = LineageApp(catalog=warehouse.catalog())
         app.batcher.start()
         try:
             await app.batcher.submit(dict(warehouse.views))
@@ -486,7 +486,6 @@ def test_crash_recovery_equivalence(seed, tmp_path):
     async def first_half():
         app = LineageApp(
             catalog=warehouse.catalog(),
-            batch_window=0.002,
             journal_dir=str(journal_dir),
         )
         app.batcher.start()
@@ -504,7 +503,6 @@ def test_crash_recovery_equivalence(seed, tmp_path):
     async def resume():
         app = LineageApp(
             catalog=warehouse.catalog(),
-            batch_window=0.002,
             journal_dir=str(journal_dir),
         )
         try:
@@ -602,7 +600,6 @@ def test_serving_daemon_stream_equivalence(seed, tmp_path):
         app = LineageApp(
             catalog=warehouse.catalog(),
             cache_dir=str(cache_dir),
-            batch_window=0.002,
         )
         host, port = await app.start(port=0)
         try:
@@ -700,7 +697,7 @@ def test_ingest_front_end_equivalence(seed, tmp_path):
     expected = session.result.render("csv")
 
     async def serve():
-        app = LineageApp(catalog=catalog_from_sql(ddl), batch_window=0.002)
+        app = LineageApp(catalog=catalog_from_sql(ddl))
         host, port = await app.start(port=0)
         try:
             rows = []
@@ -852,7 +849,7 @@ def test_publish_patched_vs_rebuilt_equivalence(seed):
         )
 
     async def publish():
-        app = LineageApp(catalog=warehouse.catalog(), batch_window=0.002)
+        app = LineageApp(catalog=warehouse.catalog())
         app.batcher.start()
         try:
             await app.batcher.submit(dict(warehouse.views))
@@ -895,7 +892,10 @@ CHAIN_SOURCES = {
 
 
 def _chain_deltas(warehouse, graph, dag, seed):
-    """Ten successive deltas, one of each refresh shape."""
+    """Twelve successive deltas, one of each refresh shape.  The last two
+    redefine a view to read one of its readers, which closes a dependency
+    cycle that every run must reject, and then send the same definition
+    with the reader redefined not to read the view, which opens it again."""
     import random
 
     rng = random.Random(seed * 31 + 7)
@@ -918,6 +918,18 @@ def _chain_deltas(warehouse, graph, dag, seed):
         return f"CREATE VIEW {name} AS SELECT s.{column} AS appended FROM {relation} s"
 
     columns = graph.columns_of(reordered)
+    # a view and one of its readers: redefining the view to read the
+    # reader closes a cycle, which a full run rejects
+    sampled = {preserving, changing, reordered, removed}
+    closing, reader = next(
+        (name, other)
+        for name in read if name not in sampled
+        for other in sorted(dag.dependents[name])
+        if other not in sampled
+        and warehouse.views.get(other, "").startswith("CREATE VIEW")
+    )
+    head, body = warehouse.views[closing].split(" AS ", 1)
+    cycle = f"{head} AS SELECT v.* FROM ({body}) v CROSS JOIN {reader} c"
     return [
         ("append", {"chain_a0": append("chain_a0")}),
         ("append-chain", {
@@ -934,6 +946,11 @@ def _chain_deltas(warehouse, graph, dag, seed):
         ("shrink", {"chain_multi": "CREATE VIEW chain_m1 AS SELECT s.id FROM base_0 s"}),
         ("self-read", {"chain_ins": "INSERT INTO chain_t SELECT * FROM chain_t"}),
         ("widen", {"chain_ddl": "CREATE TABLE chain_t (x integer, y integer, z integer)"}),
+        ("cycle-close", {closing: cycle}),
+        ("cycle-open", {
+            closing: cycle,
+            reader: f"CREATE VIEW {reader} AS SELECT s.id FROM base_0 s",
+        }),
     ]
 
 
@@ -947,14 +964,16 @@ def _dag_rows(dag):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("cached", [False, True], ids=["memory", "store"])
 def test_chained_refresh_equivalence(seed, cached, tmp_path):
-    """Ten deltas applied one after another, each to the previous
-    carried-forward result: after every one, the render, hashes, Query
-    Dictionary, DAG rows and waves and unresolved entries equal a
-    from-scratch run's, and the re-extracted entries are exactly the
-    oracle's, in the full run's topological order.  With a persistent
-    store, an oracle entry may splice from the store instead (the re-add
-    of a removed view hits its first record, and so do its readers) and
-    is then missing from the order, nothing else."""
+    """Twelve deltas applied one after another, each to the previous
+    carried-forward result.  A delta that a full run rejects must make the
+    refresh raise the same error, and the result stays as it was.  After
+    every other one, the render, hashes, Query Dictionary, DAG rows and
+    waves and unresolved entries equal a from-scratch run's, and the
+    re-extracted entries are exactly the oracle's, in the full run's
+    topological order.  With a persistent store, an oracle entry may
+    splice from the store instead (the re-add of a removed view hits its
+    first record, and so do its readers) and is then missing from the
+    order, nothing else."""
     from tests.core.test_incremental import apply_changes, expected_reextracted
 
     warehouse = _warehouse(seed)
@@ -966,11 +985,21 @@ def test_chained_refresh_equivalence(seed, cached, tmp_path):
         previous = runner.run(sources)
         deltas = _chain_deltas(warehouse, current.graph, current.dag, seed)
         store_hits = 0
+        rejected = []
         for step, (shape, changes) in enumerate(deltas):
+            axis = f"chain-{step}-{shape}"
+            try:
+                full = runner.run(apply_changes(sources, changes))
+            except CyclicDependencyError as error:
+                # the refresh rejects it too, and the carried result stays
+                # the previous one: the next delta applies to it
+                with pytest.raises(CyclicDependencyError) as refused:
+                    current.update(changes)
+                assert str(refused.value) == str(error), axis
+                rejected.append(shape)
+                continue
             sources = apply_changes(sources, changes)
             current = current.update(changes)
-            full = runner.run(sources)
-            axis = f"chain-{step}-{shape}"
             _assert_equivalent(
                 seed, warehouse, axis, graph_to_csv(full.graph), graph_to_csv(current.graph)
             )
@@ -994,3 +1023,4 @@ def test_chained_refresh_equivalence(seed, cached, tmp_path):
         if store is not None:
             store.close()
     assert (store_hits > 0) == cached, f"seed={seed}: {store_hits} store hits"
+    assert rejected == ["cycle-close"], f"seed={seed}: rejected {rejected}"

@@ -47,7 +47,7 @@ async def _json(host, port, method, path, payload=None):
 
 def _with_app(test, **app_kwargs):
     async def go():
-        app = LineageApp(batch_window=0.005, **app_kwargs)
+        app = LineageApp(**app_kwargs)
         host, port = await app.start(port=0)
         try:
             await test(app, host, port)

@@ -6,11 +6,12 @@ import pytest
 
 from repro.core.lineage import LineageGraph
 from repro.output.registry import render
-from repro.server.batcher import ExtractionFailed, IngestBatcher
+from repro.server.batcher import ExtractionFailed, IngestBatcher, OverloadedError
 from repro.server.journal import IngestJournal, JournalWriteError
 from repro.server.snapshot import SnapshotManager
 from repro.session import LineageSession
 from repro.sources import content_hash
+from repro.testing import faults
 
 V1 = "CREATE VIEW v1 AS SELECT a, b FROM t1"
 V2 = "CREATE VIEW v2 AS SELECT a FROM v1"
@@ -27,9 +28,21 @@ def _run(coro):
 async def _make():
     session = LineageSession()
     snapshots = SnapshotManager(LineageGraph())
-    batcher = IngestBatcher(session, snapshots, batch_window=0.005)
+    batcher = IngestBatcher(session, snapshots)
     batcher.start()
     return session, snapshots, batcher
+
+
+@pytest.fixture
+def slow_refresh():
+    """Hold every batch in its refresh for 0.2 s."""
+    faults.install(faults.FaultPlan(seed=0, delays={"batcher.refresh": 0.2}))
+    yield
+    faults.reset()
+
+
+def _view(index):
+    return f"CREATE VIEW q{index} AS SELECT c{index} FROM t{index}"
 
 
 class TestStatementHash:
@@ -138,6 +151,111 @@ class TestDedupe:
             # extract again, not be answered from stale bookkeeping
             back = await batcher.submit({"v1": V1})
             assert back["statements"][0]["status"] == "extracted"
+            await batcher.stop()
+
+        _run(go())
+
+
+class TestGroupCommit:
+    """A batch starts as soon as the ingest task is idle; what queues while
+    it runs is the next batch, which waits (at most one batch) for as many
+    requests as the last one answered."""
+
+    async def _during_a_batch(self, batcher):
+        first = asyncio.ensure_future(batcher.submit({"q0": _view(0)}))
+        await asyncio.sleep(0.05)  # the loop took q0 and sits in its refresh
+        queued = await asyncio.gather(
+            *(batcher.submit({f"q{i}": _view(i)}) for i in (1, 2, 3))
+        )
+        return await first, queued
+
+    def test_requests_queued_during_a_batch_form_the_next(self, slow_refresh):
+        async def go():
+            _, snapshots, batcher = await _make()
+            first, queued = await self._during_a_batch(batcher)
+            assert first["snapshot_version"] == 1
+            assert batcher.counters["batches"] == 2
+            assert [result["snapshot_version"] for result in queued] == [2, 2, 2]
+            assert all(
+                result["statements"][0]["status"] == "extracted" for result in queued
+            )
+            assert snapshots.current().stats["num_views"] == 4
+            await batcher.stop()
+
+        _run(go())
+
+    def test_queued_requests_share_one_journal_append(self, slow_refresh, tmp_path):
+        async def go():
+            journal = IngestJournal(tmp_path)
+            appended = []
+            append_batch = journal.append_batch
+
+            def counted(entries):
+                appended.append([name for name, _sql, _digest in entries])
+                return append_batch(entries)
+
+            journal.append_batch = counted
+            session = LineageSession()
+            batcher = IngestBatcher(
+                session, SnapshotManager(LineageGraph()), journal=journal
+            )
+            batcher.start()
+            _, queued = await self._during_a_batch(batcher)
+            assert appended == [["q0"], ["q1", "q2", "q3"]]
+            assert {result["snapshot_version"] for result in queued} == {2}
+            await batcher.stop()
+            journal.close()
+
+        _run(go())
+
+    def test_writers_answered_together_stay_in_one_batch(self, slow_refresh):
+        # three closed-loop writers come back a moment apart after each
+        # reply: the batch waits for all three instead of starting with
+        # the first and leaving the others to a batch of their own
+        async def go():
+            _, snapshots, batcher = await _make()
+
+            async def writer(k):
+                for round_ in range(3):
+                    index = 10 * k + round_
+                    await batcher.submit({f"q{index}": _view(index)})
+                    await asyncio.sleep(0.01 * k)
+
+            await asyncio.gather(*(writer(k) for k in range(3)))
+            assert batcher.counters["batches"] == 3
+            assert snapshots.current().stats["num_views"] == 9
+            await batcher.stop()
+
+        _run(go())
+
+    def test_retry_after_is_about_one_client_batch(self):
+        # the whole queue joins the next batch, so the hint is one batch,
+        # not one per queued request; and a long boot batch (preload) is
+        # not the pace of client batches
+        async def go():
+            batcher = IngestBatcher(
+                LineageSession(), SnapshotManager(LineageGraph()), max_pending=4
+            )
+            batcher.start()
+            faults.install(faults.FaultPlan(seed=0, delays={"batcher.refresh": 1.2}))
+            try:
+                await batcher.submit({"q0": _view(0)}, journal=False)
+                faults.install(
+                    faults.FaultPlan(seed=0, delays={"batcher.refresh": 0.2})
+                )
+                running = asyncio.ensure_future(batcher.submit({"q1": _view(1)}))
+                await asyncio.sleep(0.05)
+                backlog = [
+                    asyncio.ensure_future(batcher.submit({f"q{i}": _view(i)}))
+                    for i in range(2, 6)
+                ]
+                await asyncio.sleep(0)  # all four are queued
+                with pytest.raises(OverloadedError) as shed:
+                    await batcher.submit({"q6": _view(6)})
+                assert shed.value.retry_after == 1.0
+                await asyncio.gather(running, *backlog)
+            finally:
+                faults.reset()
             await batcher.stop()
 
         _run(go())
@@ -269,9 +387,7 @@ class TestFailureDomain:
             journal = IngestJournal(tmp_path)
             session = LineageSession()
             snapshots = SnapshotManager(LineageGraph())
-            batcher = IngestBatcher(
-                session, snapshots, batch_window=0.005, journal=journal
-            )
+            batcher = IngestBatcher(session, snapshots, journal=journal)
             batcher.start()
             good = await batcher.submit({"v1": V1})
             assert good["statements"][0]["status"] == "extracted"
@@ -288,9 +404,7 @@ class TestFailureDomain:
             assert journal.quarantined_offsets() == {1}
             session = LineageSession()
             snapshots = SnapshotManager(LineageGraph())
-            batcher = IngestBatcher(
-                session, snapshots, batch_window=0.005, journal=journal
-            )
+            batcher = IngestBatcher(session, snapshots, journal=journal)
             batcher.start()
             assert await batcher.replay(journal.replay_entries()) == 1
             edges = render(snapshots.current().graph, "csv")
@@ -321,9 +435,7 @@ class TestFailureDomain:
             journal = IngestJournal(tmp_path)
             session = LineageSession()
             snapshots = SnapshotManager(LineageGraph())
-            batcher = IngestBatcher(
-                session, snapshots, batch_window=0.005, journal=journal
-            )
+            batcher = IngestBatcher(session, snapshots, journal=journal)
             batcher.start()
             # pass 1: {v1: poison, v2} — poison quarantines, v2 publishes;
             # pass 2: {v1: good} falls back and publishes
@@ -337,7 +449,7 @@ class TestFailureDomain:
         async def reference():
             session = LineageSession()
             snapshots = SnapshotManager(LineageGraph())
-            batcher = IngestBatcher(session, snapshots, batch_window=0.005)
+            batcher = IngestBatcher(session, snapshots)
             batcher.start()
             await batcher.submit({"v1": V1, "v2": V2})
             edges = render(snapshots.current().graph, "csv")
@@ -354,9 +466,7 @@ class TestFailureDomain:
             journal = IngestJournal(tmp_path)
             session = LineageSession()
             snapshots = SnapshotManager(LineageGraph())
-            batcher = IngestBatcher(
-                session, snapshots, batch_window=0.005, journal=journal
-            )
+            batcher = IngestBatcher(session, snapshots, journal=journal)
             batcher.start()
             await batcher.submit({"v1": V1})  # offset 0, checkpointed
             assert journal.applied_offset == 0
@@ -384,6 +494,27 @@ class TestFailureDomain:
             assert journal.applied_offset == 4
             await batcher.stop()
             journal.close()
+
+        _run(go())
+
+    def test_submit_closing_a_cycle_quarantines(self):
+        # a view that closes a dependency cycle is rejected like in a full
+        # run, not published with its cycle
+        async def go():
+            _, snapshots, batcher = await _make()
+            for name, sql in (
+                ("t", "CREATE TABLE t (x int)"),
+                ("a", "CREATE VIEW a AS SELECT x FROM b"),
+            ):
+                result = await batcher.submit({name: sql})
+                assert result["statements"][0]["status"] == "extracted"
+            result = await batcher.submit({"b": "CREATE VIEW b AS SELECT x FROM a"})
+            row = result["statements"][0]
+            assert row["status"] == "quarantined"
+            assert row["error"]["type"] == "CyclicDependencyError"
+            assert result["snapshot_version"] == snapshots.version == 2
+            assert "b" not in snapshots.current().statement_names
+            await batcher.stop()
 
         _run(go())
 

@@ -51,7 +51,7 @@ async def _request(host, port, method, path, payload=None):
 
 def _with_app(test, **app_kwargs):
     async def go():
-        app = LineageApp(batch_window=0.005, **app_kwargs)
+        app = LineageApp(**app_kwargs)
         host, port = await app.start(port=0)
         try:
             await test(app, host, port)
@@ -64,7 +64,7 @@ def _with_app(test, **app_kwargs):
 async def _make_batcher(**kwargs):
     session = LineageSession()
     snapshots = SnapshotManager(LineageGraph())
-    batcher = IngestBatcher(session, snapshots, batch_window=0.005, **kwargs)
+    batcher = IngestBatcher(session, snapshots, **kwargs)
     batcher.start()
     return snapshots, batcher
 

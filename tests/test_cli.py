@@ -58,6 +58,13 @@ class TestArgumentParsing:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_batch_window_flag_is_unrecognized(self, capsys):
+        # ingest group-commits: there is no batch window to set
+        with pytest.raises(SystemExit) as excinfo:
+            run(["serve", "--batch-window-ms", "5"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --batch-window-ms" in capsys.readouterr().err
+
 
 class TestExecution:
     def test_text_output(self, example1_file):
@@ -225,6 +232,50 @@ class TestCyclicInput:
         assert capsys.readouterr().err == (
             "error: cyclic dependency among queries: a -> b -> a\n"
         )
+
+
+class TestUnreadableInput:
+    """A statement the parser refuses and a file that is not UTF-8 are input
+    errors too: one line naming the statement or file, exit status 2."""
+
+    @pytest.fixture
+    def unparsable_dir(self, tmp_path):
+        (tmp_path / "v.sql").write_text("CREATE VIEW v AS SELEC 1;\n")
+        (tmp_path / "w.sql").write_text("CREATE VIEW w AS SELECT 1 AS x;\n")
+        return str(tmp_path)
+
+    @pytest.fixture
+    def binary_dir(self, tmp_path):
+        (tmp_path / "v.sql").write_bytes(b"CREATE VIEW v AS SELECT \xff 1;\n")
+        return tmp_path
+
+    @pytest.mark.parametrize("prefix", [("extract",), ()], ids=["extract", "legacy"])
+    def test_parse_error_exits_2_with_one_line(self, prefix, unparsable_dir, capsys):
+        code, output = run_cli(*prefix, unparsable_dir)
+        assert code == 2
+        assert output == ""
+        assert capsys.readouterr().err == (
+            "error: v: expected SELECT, VALUES or a parenthesised query "
+            "(near 'SELEC' at line 1, column 18)\n"
+        )
+
+    @pytest.mark.parametrize("prefix", [("extract",), ()], ids=["extract", "legacy"])
+    def test_non_utf8_file_exits_2_with_one_line(self, prefix, binary_dir, capsys):
+        code, output = run_cli(*prefix, str(binary_dir))
+        assert code == 2
+        assert output == ""
+        assert capsys.readouterr().err == (
+            f"error: {binary_dir / 'v.sql'}: 'utf-8' codec can't decode byte "
+            "0xff in position 24: invalid start byte\n"
+        )
+
+
+    def test_bad_catalog_names_the_catalog_file(self, example1_file, tmp_path, capsys):
+        catalog = tmp_path / "catalog.ddl"
+        catalog.write_text("CREATE TABLE t (x int")
+        code, _ = run_cli("extract", example1_file, "--catalog", str(catalog))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {catalog}: expected ')'")
 
 
 class TestSubcommands:

@@ -200,7 +200,7 @@ class TestJournalCheckpoint:
     def test_failed_checkpoint_counts_while_the_batch_is_answered(self, tmp_path):
         async def go():
             app = LineageApp(
-                journal_dir=str(tmp_path / "journal"), batch_window=0.005
+                journal_dir=str(tmp_path / "journal")
             )
             app.batcher.start()
             try:
