@@ -13,7 +13,7 @@ Three robustness claims, measured against the in-process daemon
   in a small fraction of the original ingest time, because replay rides
   the warm store instead of re-parsing;
 * **degraded is not down** — with a 30% injected fault rate on every
-  store shard read *and* write, the daemon must keep answering: ingest
+  store read *and* write, the daemon must keep answering: ingest
   completes, ``GET /impact`` p99 stays under the same 50 ms bound the
   healthy daemon is held to, and the only non-200s permitted anywhere
   are deliberate 503 sheds.
@@ -205,14 +205,13 @@ async def _bench_recovery(tmp_dir):
 
 
 # ----------------------------------------------------------------------
-# phase 3: serving under a 30% shard fault rate
+# phase 3: serving under a 30% store fault rate
 # ----------------------------------------------------------------------
 async def _bench_faulty_serving(tmp_dir):
     warehouse = _warehouse(VIEW_TIER)
     app = LineageApp(
         catalog=warehouse.catalog(),
         cache_dir=os.path.join(tmp_dir, "faulty-cache"),
-        cache_shards=4,
     )
     host, port = await app.start(port=0)
     faults.install(
@@ -347,7 +346,7 @@ def test_robustness_benchmark(tmp_path):
             f"{overhead_ratio} < {JOURNAL_OVERHEAD_BUDGET}"
         )
         assert faulty["read_p99_ms"] < 50.0, (
-            "p99 /impact latency under a 30% shard fault rate must stay "
+            "p99 /impact latency under a 30% store fault rate must stay "
             f"under 50 ms, got {faulty['read_p99_ms']} ms"
         )
         if not QUICK:

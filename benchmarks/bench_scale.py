@@ -1,9 +1,9 @@
 """SCALE — the 100k-statement tier: throughput and peak RSS, cold and warm.
 
 Every other benchmark in the trajectory gates at 400 views; this one runs
-the scale tier the sharded store and streaming extraction were built for:
-10k / 30k / 100k generated statements, cold and warm, with peak RSS
-recorded per phase.
+the scale tier streaming extraction was built for: 10k / 30k / 100k
+generated statements, cold and warm over the persistent store, with peak
+RSS recorded per phase.
 
 Each phase runs in its own **subprocess** (``python bench_scale.py
 --child '<json>'``) so ``resource.getrusage().ru_maxrss`` — a high-water
@@ -50,9 +50,6 @@ TIERS = [1_000, 5_000] if QUICK else [10_000, 30_000, 100_000]
 #: ISSUE names 10k; quick mode gates nothing, so its first tier only
 #: anchors the ablation).
 GATE_TIER = TIERS[0]
-#: shard count for the scale runs — enough fan-out for parallel prefetch
-#: without per-file overhead dominating at the small tiers.
-SHARDS = 8
 #: peak-RSS budget for the streaming runs at the top tier, in MB.  At 100k
 #: statements the recording machine measured ~900 MB cold / ~1050 MB warm —
 #: dominated by the *result* (100k TableLineage entries plus the full
@@ -87,7 +84,7 @@ def _child_main(config):
     catalog = warehouse.catalog()
     store = None
     if config["cache_dir"]:
-        store = LineageStore(config["cache_dir"], shards=config["shards"])
+        store = LineageStore(config["cache_dir"])
     runner = LineageXRunner(catalog=catalog, store=store, stream=config["stream"])
     started = time.perf_counter()
     result = runner.run(warehouse)
@@ -112,13 +109,12 @@ def _child_main(config):
     )
 
 
-def _run_child(tier, cache_dir=None, stream=True, shards=SHARDS):
+def _run_child(tier, cache_dir=None, stream=True):
     config = {
         "tier": tier,
         "base_tables": _base_tables(tier),
         "seed": SEED,
         "cache_dir": cache_dir,
-        "shards": shards,
         "stream": stream,
     }
     env = dict(os.environ)
@@ -212,7 +208,6 @@ def test_scale_report():
         "config": {
             "seed": SEED,
             "tiers": TIERS,
-            "shards": SHARDS,
             "memory_budget_mb": MEMORY_BUDGET_MB,
             "quick": QUICK,
         },

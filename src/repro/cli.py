@@ -42,6 +42,7 @@ the bare name).
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -128,16 +129,6 @@ def _add_extraction_options(parser):
         help="persistent lineage store: splice unchanged statements from "
         "this directory's cache and persist new extractions (warm starts "
         "across runs; see the 'cache' subcommand for maintenance)",
-    )
-    parser.add_argument(
-        "--cache-shards",
-        type=_positive_int,
-        metavar="N",
-        default=None,
-        help="shard a NEWLY created store at --cache-dir across N SQLite "
-        "files routed by content-hash prefix (parallel warm-start reads, "
-        "per-shard write transactions); an existing store keeps its "
-        "layout — re-shard it with 'cache migrate'",
     )
     parser.add_argument(
         "--stream",
@@ -277,10 +268,9 @@ def build_subcommand_parser():
         "cache", help="inspect or maintain a persistent lineage store"
     )
     cache.add_argument(
-        "action", choices=["stats", "clear", "gc", "migrate"],
+        "action", choices=["stats", "clear", "gc"],
         help="stats: print store counters; clear: delete every record; "
-        "gc: evict stale records; migrate: re-shard the store in place "
-        "(records and cache keys are preserved verbatim)",
+        "gc: evict stale records",
     )
     cache.add_argument(
         "--cache-dir", metavar="DIR", required=True,
@@ -293,10 +283,6 @@ def build_subcommand_parser():
     cache.add_argument(
         "--max-entries", type=_positive_int, metavar="N", default=None,
         help="gc: keep only the N most recently used lineage records",
-    )
-    cache.add_argument(
-        "--shards", type=_positive_int, metavar="N", default=None,
-        help="migrate: the target shard count (1 = back to a single file)",
     )
     cache.set_defaults(handler=_cmd_cache)
 
@@ -334,10 +320,6 @@ def build_subcommand_parser():
         "--cache-dir", metavar="DIR", default=None,
         help="persistent lineage store: ingest splices unchanged statements "
         "from it and persists new extractions (warm restarts)",
-    )
-    serve.add_argument(
-        "--cache-shards", type=_positive_int, metavar="N", default=None,
-        help="shard count for a NEWLY created store at --cache-dir",
     )
     serve.add_argument(
         "--journal-dir", metavar="DIR", default=None,
@@ -463,7 +445,6 @@ def _session_from_args(args):
         engine=args.engine,
         cache_dir=args.cache_dir,
         stream=args.stream,
-        cache_shards=args.cache_shards,
     )
     return LineageSession(source, catalog=catalog, config=config)
 
@@ -569,38 +550,17 @@ def _cmd_refresh(args, stdout):
 
 
 def _cmd_cache(args, stdout):
-    from .store import LineageStore
+    from .store import STORE_FILENAME, LineageStore
 
-    if args.action == "migrate":
-        if args.shards is None:
-            print("error: cache migrate needs --shards", file=sys.stderr)
-            return 2
-        moved = LineageStore.migrate(args.cache_dir, args.shards)
-        layout = LineageStore(args.cache_dir)
-        try:
-            print(
-                f"migrated {moved} records; store now has "
-                f"{layout.num_shards} shard(s)",
-                file=stdout,
-            )
-        finally:
-            layout.close()
-        return 0
+    # maintenance never creates a store: a mistyped --cache-dir is an error
+    if not os.path.isfile(os.path.join(args.cache_dir, STORE_FILENAME)):
+        print(f"error: no lineage store at {args.cache_dir}", file=sys.stderr)
+        return 2
     store = LineageStore(args.cache_dir)
     try:
         if args.action == "stats":
-            stats = store.stats()
-            shards = stats.pop("per_shard", [])
-            for key, value in sorted(stats.items()):
+            for key, value in sorted(store.stats().items()):
                 print(f"{key}: {value}", file=stdout)
-            for shard in shards:
-                print(
-                    f"shard {shard['shard']}: {shard['entries']} entries, "
-                    f"{shard['source_entries']} sources, "
-                    f"{shard['size_bytes']} bytes, "
-                    f"{shard['hit_count']} hits  ({shard['path']})",
-                    file=stdout,
-                )
         elif args.action == "clear":
             print(f"removed {store.clear()} records", file=stdout)
         else:  # gc
@@ -620,8 +580,6 @@ def _cmd_cache(args, stdout):
 
 
 def _cmd_stream(args, stdout):
-    import os
-
     if not os.path.isfile(args.input):
         print(f"error: {args.input!r} is not a query log file", file=sys.stderr)
         return 2
@@ -634,7 +592,6 @@ def _cmd_stream(args, stdout):
         engine=args.engine,
         cache_dir=args.cache_dir,
         stream=args.stream,
-        cache_shards=args.cache_shards,
     )
 
     def on_batch(report):
@@ -714,7 +671,6 @@ def _cmd_serve(args, stdout):
         preload = payload
     app = LineageApp(
         cache_dir=args.cache_dir,
-        cache_shards=args.cache_shards,
         catalog=catalog,
         strict=args.strict,
         journal_dir=args.journal_dir,

@@ -32,7 +32,7 @@ PARSE_RECORD_VERSION = 3
 
 #: fragments announced to the parse cache per prefetch window.  Matches
 #: the store's ``IN (...)`` chunk width, so one window = one batched
-#: SELECT per shard; it also bounds how many raw source texts streaming
+#: SELECT; it also bounds how many raw source texts streaming
 #: preprocessing holds in memory at once.
 PREFETCH_CHUNK = 400
 
@@ -357,7 +357,7 @@ def preprocess(source, id_generator=None, parse_cache=None, retain_asts=True):
         if prefetch is not None:
             # announce the window up front: a cache that supports batched
             # reads (the store-backed one does) resolves all its keys in
-            # one SELECT per shard instead of one point query per fragment
+            # one SELECT instead of one point query per fragment
             prefetch([sql for _, sql in window])
         for default_name, sql in window:
             statements = None

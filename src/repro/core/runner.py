@@ -734,7 +734,7 @@ class LineageXRunner:
             strict=self.strict,
         )
         key = make_key(entry.content_hash, self.dialect, EXTRACTOR_VERSION, fingerprint)
-        return store.get(key, content_hash=entry.content_hash)
+        return store.get(key)
 
     def _persist_results(self, store, query_dictionary, catalog, scheduler, report):
         """Write every newly extracted entry's record to the store.
@@ -785,8 +785,8 @@ class LineageXRunner:
                     },
                 )
             )
-        # one executemany-backed transaction per store shard instead of a
-        # round trip per record — the write-side analogue of prime()
+        # one executemany-backed transaction instead of a round trip per
+        # record — the write-side analogue of prime()
         store.put_many(rows)
         store.flush()
 

@@ -55,7 +55,6 @@ class LineageApp:
         session=None,
         *,
         cache_dir=None,
-        cache_shards=None,
         catalog=None,
         strict=False,
         journal_dir=None,
@@ -70,7 +69,6 @@ class LineageApp:
                 catalog=catalog,
                 strict=strict,
                 cache_dir=cache_dir,
-                cache_shards=cache_shards,
             )
         self.session = session
         # reads already extracted state if the caller handed over a warm

@@ -116,8 +116,8 @@ async def handle_stats(app):
         payload["journal"] = journal.stats()
     store = app.session.store
     if store is not None:
-        # store.stats() flushes and queries sqlite per shard under shard
-        # locks — keep that off the event loop like renders and refreshes
+        # store.stats() flushes and queries sqlite under the store lock —
+        # keep that off the event loop like renders and refreshes
         loop = asyncio.get_running_loop()
         payload["store"] = await loop.run_in_executor(app.executor, store.stats)
     return Response.json(payload)

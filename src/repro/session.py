@@ -115,12 +115,6 @@ class SessionConfig:
         its parse record exists, and extraction re-materialises ASTs wave
         by wave and releases them after recording.  Output is
         byte-identical to the default mode.  Static engine only.
-    cache_shards:
-        Shard count for a *newly created* store at ``cache_dir`` (``None``
-        = the classic single SQLite file).  An existing store's on-disk
-        layout always wins; re-shard it with ``cache migrate``.  Sharding
-        fans the warm-start prefetch out across per-shard connections in
-        parallel and splits bulk writes into per-shard transactions.
     """
 
     strict: bool = False
@@ -131,7 +125,6 @@ class SessionConfig:
     dialect: str = "postgres"
     cache_dir: str = None
     stream: bool = False
-    cache_shards: int = None
 
     def __post_init__(self):
         if self.engine not in ENGINES:
@@ -150,13 +143,6 @@ class SessionConfig:
                     f"cache_dir must be a path or None, got {self.cache_dir!r}"
                 ) from None
             object.__setattr__(self, "cache_dir", path)
-        if self.cache_shards is not None:
-            if not isinstance(self.cache_shards, int) \
-                    or isinstance(self.cache_shards, bool) or self.cache_shards < 1:
-                raise ValueError(
-                    "cache_shards must be a positive integer (>= 1) or None, "
-                    f"got {self.cache_shards!r}"
-                )
         canonical = _DIALECTS.get(str(self.dialect).lower())
         if canonical is None:
             raise ValueError(
@@ -247,9 +233,7 @@ class LineageSession:
         if self._store is None:
             from .store import LineageStore
 
-            self._store = LineageStore(
-                self.config.cache_dir, shards=self.config.cache_shards
-            )
+            self._store = LineageStore(self.config.cache_dir)
         return self._store
 
     def cache_stats(self):

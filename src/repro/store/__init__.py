@@ -15,14 +15,12 @@ See :mod:`repro.store.keys` for the cache-key anatomy and invalidation
 rules, and :class:`repro.store.store.LineageStore` for the backend.
 """
 
-from .keys import make_key, schema_fingerprint, shard_index
-from .store import SHARD_MANIFEST, STORE_FILENAME, LineageStore
+from .keys import make_key, schema_fingerprint
+from .store import STORE_FILENAME, LineageStore
 
 __all__ = [
     "LineageStore",
-    "SHARD_MANIFEST",
     "STORE_FILENAME",
     "make_key",
     "schema_fingerprint",
-    "shard_index",
 ]

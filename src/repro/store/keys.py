@@ -28,32 +28,10 @@ an error.
 """
 
 import hashlib
-import zlib
 
 #: marker digested for a relation whose columns are unknown (an external
 #: base table with no catalog entry) — distinct from an empty column list.
 _UNKNOWN = "\x00?"
-
-
-def shard_index(content_hash, num_shards):
-    """The shard a content hash routes to, in ``[0, num_shards)``.
-
-    Content hashes are hex digests, so the leading 8 hex digits are a
-    uniformly distributed 32-bit integer — a cheap, stable routing prefix.
-    Non-hex inputs (the empty ``content_hash=""`` of legacy writes, parse
-    cache source keys would qualify too but happen to be hex) fall back to
-    ``crc32`` of the text, which is just as deterministic across processes
-    and Python versions.  Routing must be identical on the put and get
-    sides, so this function is the single source of truth for it.
-    """
-    if num_shards <= 1:
-        return 0
-    text = str(content_hash)
-    try:
-        prefix = int(text[:8], 16) if text else 0
-    except ValueError:
-        prefix = zlib.crc32(text.encode("utf-8"))
-    return prefix % num_shards
 
 
 def schema_fingerprint(dependency_schemas, strict=False):

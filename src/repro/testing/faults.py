@@ -6,7 +6,7 @@ This module gives production code cheap named injection points::
 
     from repro.testing import faults
     ...
-    faults.fire("store.read", shard=index)   # no-op unless a plan is active
+    faults.fire("store.read")   # no-op unless a plan is active
 
 and gives tests/benchmarks a :class:`FaultPlan` that decides — from a
 seed, deterministically, independently per site — what each ``fire``
@@ -23,9 +23,9 @@ call does:
   SIGKILLs the *current process* on the third hit of the site: the
   crash-recovery suite uses this to die at an exact journal offset.
 
-Site naming: ``<component>.<operation>``, optionally targeted at one
-shard with ``rates={"store.read[2]": 1.0}`` (a shard-qualified rate wins
-over the bare site rate).
+Site naming: ``<component>.<operation>`` (``store.read``,
+``journal.append``, ``batcher.refresh``, ...); a rate applies to every
+hit of its site.
 
 Plans install process-globally (:func:`install` / :func:`reset`) because
 the code under test — the daemon's store threads, the journal, worker
@@ -76,8 +76,6 @@ class FaultPlan:
         Root seed; each site derives its own independent RNG from it.
     rates:
         ``{site: probability}`` of raising :class:`InjectedFault` per hit.
-        A shard-qualified key (``"store.write[1]"``) takes precedence over
-        the bare site key for hits carrying that ``shard``.
     delays:
         ``{site: seconds}`` slept on every hit (before any error draw).
     kill:
@@ -126,7 +124,7 @@ class FaultPlan:
         """How many times ``site`` has fired under this plan."""
         return self._hits.get(site, 0)
 
-    def fire(self, site, shard=None):
+    def fire(self, site):
         """Apply the plan at ``site``; raises :class:`InjectedFault` on a hit."""
         with self._lock:
             count = self._hits.get(site, 0) + 1
@@ -137,15 +135,9 @@ class FaultPlan:
                 and self.kill.get("site") == site
                 and count >= int(self.kill.get("after", 1))
             )
-            qualified = f"{site}[{shard}]" if shard is not None else None
-            draw_key = None
-            if qualified is not None and qualified in self.rates:
-                draw_key = qualified
-            elif site in self.rates:
-                draw_key = site
             failed = (
-                draw_key is not None
-                and self._rng(draw_key).random() < float(self.rates[draw_key])
+                site in self.rates
+                and self._rng(site).random() < float(self.rates[site])
             )
         if delay:
             time.sleep(float(delay))
@@ -155,7 +147,7 @@ class FaultPlan:
             # SIGKILL never returns; a catchable signal (SIGTERM) does —
             # fall through so the site behaves normally while handlers run
         if failed:
-            raise InjectedFault(draw_key)
+            raise InjectedFault(site)
 
 
 #: the process-global active plan (``None`` = every fire() is a no-op).
@@ -180,11 +172,11 @@ def active():
     return _active
 
 
-def fire(site, shard=None):
+def fire(site):
     """Production-side hook: apply the active plan at ``site`` (no-op otherwise)."""
     plan = _active
     if plan is not None:
-        plan.fire(site, shard=shard)
+        plan.fire(site)
 
 
 def plan_from_env(environ=None):

@@ -1,11 +1,10 @@
 """Seeded differential cross-mode equivalence harness.
 
 With two scheduling modes (dag/stack), two store temperatures
-(cold/warm), two store layouts (single-file/sharded, plus a ``migrate``
-between them), streaming vs materialized extraction, two refresh paths
-(full/incremental), three ingest front ends (HTTP ``/extract``,
-``repro stream`` and ``session.refresh``, fed poison) and
-order-independent planning, the
+(cold/warm, each materialized and streaming), streaming vs materialized
+extraction, two refresh paths (full/incremental), three ingest front
+ends (HTTP ``/extract``, ``repro stream`` and ``session.refresh``, fed
+poison) and order-independent planning, the
 cheapest way to trust them all is to prove they *agree*: every generated warehouse — classic templates plus the
 warehouse-DML surface (MERGE, ON CONFLICT upserts, QUALIFY, GROUPING
 SETS/ROLLUP/CUBE, unnest/generate_series) — must produce byte-identical
@@ -233,19 +232,26 @@ def test_schema_snapshot_is_complete_input(seed, monkeypatch):
 def test_cold_vs_warm_store_equivalence(seed, tmp_path):
     warehouse = _warehouse(seed)
     baseline = _signature(_run(warehouse))
+    num_statements = len(warehouse.views)
 
-    store = LineageStore(tmp_path / "cache")
-    try:
-        cold = _run(warehouse, store=store)
-        warm = _run(warehouse, store=store)
-    finally:
-        store.close()
-    assert warm.stats()["num_reused_store"] > 0, (
-        f"seed={seed}: the warm run spliced nothing from the store "
-        f"(reproduce with: {_recipe(seed)})"
-    )
-    _assert_equivalent(seed, warehouse, "cold-store", baseline, _signature(cold))
-    _assert_equivalent(seed, warehouse, "warm-store", baseline, _signature(warm))
+    axes = {}
+    for stream in (False, True):
+        suffix = "-stream" if stream else ""
+        store = LineageStore(tmp_path / f"cache{suffix}")
+        try:
+            axes[f"cold-store{suffix}"] = _run(warehouse, store=store, stream=stream)
+            warm = axes[f"warm-store{suffix}"] = _run(
+                warehouse, store=store, stream=stream
+            )
+        finally:
+            store.close()
+        assert warm.stats()["num_reused_store"] == num_statements, (
+            f"seed={seed}: the warm{suffix} run spliced "
+            f"{warm.stats()['num_reused_store']}/{num_statements} from the "
+            f"store (reproduce with: {_recipe(seed)})"
+        )
+    for axis, result in axes.items():
+        _assert_equivalent(seed, warehouse, axis, baseline, _signature(result))
 
 
 # ----------------------------------------------------------------------
@@ -264,55 +270,6 @@ def test_streaming_equivalence(seed):
         ),
     }
     for axis, result in axes.items():
-        _assert_equivalent(seed, warehouse, axis, baseline, _signature(result))
-
-
-# ----------------------------------------------------------------------
-# sharded vs single-file store (cold, warm, and across a migration)
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", SEEDS)
-def test_sharded_store_equivalence(seed, tmp_path):
-    warehouse = _warehouse(seed)
-    baseline = _signature(_run(warehouse))
-    num_statements = len(warehouse.views)
-
-    sharded_dir = tmp_path / "sharded"
-    store = LineageStore(sharded_dir, shards=4)
-    try:
-        cold = _run(warehouse, store=store, stream=True)
-        warm_sharded = _run(warehouse, store=store, stream=True)
-    finally:
-        store.close()
-    assert warm_sharded.stats()["num_reused_store"] == num_statements, (
-        f"seed={seed}: sharded warm run spliced "
-        f"{warm_sharded.stats()['num_reused_store']}/{num_statements} "
-        f"(reproduce with: {_recipe(seed)})"
-    )
-
-    store = LineageStore(tmp_path / "single")
-    try:
-        _run(warehouse, store=store)
-        warm_single = _run(warehouse, store=store)
-    finally:
-        store.close()
-    assert warm_single.stats()["num_reused_store"] == num_statements
-
-    # re-shard in place: cache keys are layout-independent, so the warm
-    # run over the migrated store must splice everything, byte-identically
-    assert LineageStore.migrate(sharded_dir, 1) > 0
-    store = LineageStore(sharded_dir)
-    try:
-        warm_migrated = _run(warehouse, store=store)
-    finally:
-        store.close()
-    assert warm_migrated.stats()["num_reused_store"] == num_statements
-
-    for axis, result in (
-        ("sharded-cold", cold),
-        ("sharded-warm", warm_sharded),
-        ("single-warm", warm_single),
-        ("migrated-warm", warm_migrated),
-    ):
         _assert_equivalent(seed, warehouse, axis, baseline, _signature(result))
 
 

@@ -80,18 +80,16 @@ class TestReadEndpoints:
 
         _with_app(check)
 
-    def test_stats_includes_per_shard_store_breakdown(self, tmp_path):
+    def test_stats_includes_store_block(self, tmp_path):
         async def check(app, host, port):
             await app.preload({"v1": V1, "v2": V2})
             _, payload = await _json(host, port, "GET", "/stats")
             store = payload["store"]
             assert store["entries"] == 2
-            shards = store["per_shard"]
-            assert len(shards) == 2
-            assert sum(shard["entries"] for shard in shards) == 2
-            assert all(shard["size_bytes"] > 0 for shard in shards)
+            assert store["size_bytes"] > 0
+            assert store["breaker"] == "closed"
 
-        _with_app(check, cache_dir=str(tmp_path / "cache"), cache_shards=2)
+        _with_app(check, cache_dir=str(tmp_path / "cache"))
 
     def test_impact_over_the_snapshot(self):
         async def check(app, host, port):

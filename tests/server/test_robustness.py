@@ -251,7 +251,7 @@ class TestDegradedMode:
                 )
             )
             # every batch drops its cache write; enough consecutive
-            # failures trip the shard breaker
+            # failures trip the store's breaker
             for index in range(6):
                 status, _, _ = await _request(
                     host, port, "POST", "/extract", {f"q{index}": _view(index)}
@@ -260,13 +260,12 @@ class TestDegradedMode:
             status, _, health = await _request(host, port, "GET", "/health")
             assert status == 200
             assert health["status"] == "degraded"
-            assert health["store"]["degraded_shards"] >= 1
-            breakers = {row["breaker"] for row in health["store"]["shards"]}
-            assert "open" in breakers
+            assert health["store"]["status"] == "degraded"
+            assert health["store"]["breaker"] == "open"
             status, _, stats = await _request(host, port, "GET", "/stats")
             assert stats["store"]["session_dropped_writes"] >= 6
 
-        _with_app(check, cache_dir=str(tmp_path / "cache"), cache_shards=2)
+        _with_app(check, cache_dir=str(tmp_path / "cache"))
 
     def test_thirty_percent_fault_rate_never_5xxes(self, tmp_path):
         async def check(app, host, port):
@@ -285,7 +284,7 @@ class TestDegradedMode:
                 status, _, _ = await _request(host, port, "GET", path)
                 assert status == 200
 
-        _with_app(check, cache_dir=str(tmp_path / "cache"), cache_shards=2)
+        _with_app(check, cache_dir=str(tmp_path / "cache"))
 
 
 class TestQuarantineSurface:

@@ -76,7 +76,7 @@ class TestPriorityEviction:
         assert removed >= 2
         store.flush()
         for index in range(3):
-            assert store.get(_key(f"live-{index}"), content_hash=f"live-{index}")
+            assert store.get(_key(f"live-{index}"))
         for index in range(2):
             assert store.get(_key(f"stale-{index}")) is None
         store.close()
@@ -98,7 +98,7 @@ class TestPriorityEviction:
         _put(store, "marked")
         store.mark_superseded({"marked"})
         assert store.gc(max_entries=10) == 0
-        assert store.get(_key("marked"), content_hash="marked") is not None
+        assert store.get(_key("marked")) is not None
         store.close()
 
     def test_marked_live_hash_never_starves_store(self, tmp_path):

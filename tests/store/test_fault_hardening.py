@@ -1,4 +1,4 @@
-"""Shard I/O under injected faults: retry, degraded counters, breaker."""
+"""Store I/O under injected faults: retry, degraded counters, breaker."""
 
 import logging
 import random
@@ -58,7 +58,7 @@ class TestRetry:
         faults.install(faults.FaultPlan(seed=seed, rates={"store.read": 0.5}))
         assert store.get(_key()) == _entry()
         assert store.error_misses == 0  # the retry absorbed the fault
-        assert store._shards[0].failures == 0
+        assert store._failures == 0
 
     def test_transient_write_fault_is_retried_to_success(self, store):
         seed = _seed_with([True, False], "store.write", 0.5)
@@ -75,7 +75,7 @@ class TestDegradedCounters:
         faults.install(faults.FaultPlan(seed=0, rates={"store.read": 1.0}))
         assert store.get(_key()) is None  # miss, not an exception
         assert store.error_misses == 1
-        assert store._shards[0].error_misses == 1
+        assert store.health()["error_misses"] == 1
         # plain misses are not conflated with error misses
         assert store.misses == 1
 
@@ -83,11 +83,11 @@ class TestDegradedCounters:
         faults.install(faults.FaultPlan(seed=0, rates={"store.write": 1.0}))
         assert store.put(_key(), _entry()) is False
         assert store.dropped_writes == 1
-        assert store._shards[0].dropped_writes == 1
+        assert store.health()["dropped_writes"] == 1
         faults.reset()
         assert store.get(_key()) is None  # the write really was dropped
 
-    def test_first_failure_per_shard_warns_once(self, store, caplog):
+    def test_first_failure_warns_once(self, store, caplog):
         store.put(_key("a"), _entry("a"))
         faults.install(faults.FaultPlan(seed=0, rates={"store.read": 1.0}))
         with caplog.at_level(logging.WARNING, logger="repro.store"):
@@ -104,9 +104,9 @@ class TestDegradedCounters:
         faults.reset()
         stats = store.stats()
         assert stats["session_dropped_writes"] == 1
-        assert stats["per_shard"][0]["dropped_writes"] == 1
-        assert stats["per_shard"][0]["breaker"] == "closed"
-        assert stats["degraded_shards"] == 0
+        assert store.health()["dropped_writes"] == 1
+        assert stats["breaker"] == "closed"
+        assert stats["breaker_trips"] == 0
 
 
 class TestCircuitBreaker:
@@ -119,9 +119,9 @@ class TestCircuitBreaker:
         self._trip(store)
         health = store.health()
         assert health["status"] == "degraded"
-        assert health["degraded_shards"] == 1
-        assert health["shards"][0]["breaker"] == "open"
-        assert health["shards"][0]["trips"] == 1
+        assert health["breaker"] == "open"
+        assert health["trips"] == 1
+        assert store.stats()["breaker_trips"] == 1
 
     def test_open_breaker_short_circuits(self, store):
         self._trip(store)
@@ -139,20 +139,20 @@ class TestCircuitBreaker:
         self._trip(store)
         faults.reset()
         # expire the cooldown: the next read is the half-open probe
-        store._shards[0].open_until = time.monotonic() - 1.0
+        store._open_until = time.monotonic() - 1.0
         assert store.get(_key()) == _entry()
         health = store.health()
         assert health["status"] == "ok"
-        assert health["shards"][0]["breaker"] == "closed"
-        assert health["shards"][0]["consecutive_failures"] == 0
+        assert health["breaker"] == "closed"
+        assert health["consecutive_failures"] == 0
 
     def test_failed_probe_rearms_without_a_new_trip(self, store):
         self._trip(store)
-        store._shards[0].open_until = time.monotonic() - 1.0
+        store._open_until = time.monotonic() - 1.0
         store.get(_key())  # probe under the still-armed fault: fails
         health = store.health()
-        assert health["shards"][0]["breaker"] == "open"
-        assert health["shards"][0]["trips"] == 1  # re-armed, not re-tripped
+        assert health["breaker"] == "open"
+        assert health["trips"] == 1  # re-armed, not re-tripped
 
     def test_success_resets_the_failure_streak(self, store):
         store.put(_key(), _entry())
@@ -166,46 +166,43 @@ class TestCircuitBreaker:
         faults.install(faults.FaultPlan(seed=0, rates={"store.read": 1.0}))
         for _ in range(BREAKER_THRESHOLD - 1):
             store.get(_key())
-        assert store.health()["shards"][0]["breaker"] == "closed"
+        assert store.health()["breaker"] == "closed"
 
 
 class TestTransactionHygiene:
     def test_failed_write_rolls_back_between_attempts(self, store):
         # an operation that stages rows and then dies (e.g. a failed
         # commit) must not leave an open write transaction: it would pin
-        # the shard's write lock until busy-timeout, and the staged rows
+        # the file's write lock until busy-timeout, and the staged rows
         # would ride along with the next unrelated commit
-        shard = store._shards[0]
-        with shard.lock:
-            connection = store._connect_shard(shard)
+        def poisoned_write(connection):
+            connection.execute(
+                "INSERT OR REPLACE INTO source_records "
+                "(source_key, record, created_at, last_used_at) "
+                "VALUES ('stale', '[]', 0, 0)"
+            )
+            raise sqlite3.OperationalError("commit failed")
 
-            def poisoned_write():
-                connection.execute(
-                    "INSERT OR REPLACE INTO source_records "
-                    "(source_key, record, created_at, last_used_at) "
-                    "VALUES ('stale', '[]', 0, 0)"
-                )
-                raise sqlite3.OperationalError("commit failed")
-
-            ok, _ = store._shard_io(shard, 0, "write", poisoned_write)
-            assert ok is False
+        ok, _ = store._io("write", poisoned_write)
+        assert ok is False
+        with store._lock:
+            connection = store._connect()
             assert connection.in_transaction is False
         # a later successful commit must not carry the stale row with it
         assert store.put_source("good", []) is True
-        with shard.lock:
+        with store._lock:
             rows = connection.execute(
                 "SELECT source_key FROM source_records"
             ).fetchall()
         assert rows == [("good",)]
 
-    def test_backoff_sleeps_release_the_shard_lock(self, store, monkeypatch):
+    def test_backoff_sleeps_release_the_store_lock(self, store, monkeypatch):
         # retry backoff must not stall every other reader/writer of the
-        # shard behind a sleeping thread during a fault storm
-        shard = store._shards[0]
+        # store behind a sleeping thread during a fault storm
         held_during_sleep = []
         monkeypatch.setattr(
             "repro.store.store.time.sleep",
-            lambda duration: held_during_sleep.append(shard.lock.locked()),
+            lambda duration: held_during_sleep.append(store._lock.locked()),
         )
         faults.install(faults.FaultPlan(seed=0, rates={"store.write": 1.0}))
         assert store.put(_key(), _entry()) is False

@@ -1,14 +1,16 @@
-"""The LineageStore backend: persistence, LRU front, corruption handling."""
+"""The LineageStore backend: persistence, LRU front, corruption handling,
+and concurrent access through WAL + busy timeouts."""
 
 import json
 import sqlite3
+import threading
 
 import pytest
 
 from repro.core.column_refs import ColumnName
 from repro.core.lineage import LINEAGE_RECORD_VERSION, TableLineage
 from repro.store import LineageStore, make_key, schema_fingerprint
-from repro.store.store import STORE_FILENAME
+from repro.store.store import BUSY_TIMEOUT_MS, STORE_FILENAME
 
 
 def _entry(name="v"):
@@ -20,6 +22,14 @@ def _entry(name="v"):
 
 def _key(tag="x"):
     return make_key(tag, "postgres", 1, schema_fingerprint([("t", ["a", "b"])]))
+
+
+def _populate(store, count, prefix="v"):
+    """Put ``count`` records tagged ``<prefix><i>``; returns the tags."""
+    tags = [f"{prefix}{index}" for index in range(count)]
+    for tag in tags:
+        assert store.put(_key(tag), _entry(tag), content_hash=f"hash-{tag}")
+    return tags
 
 
 class TestPutGet:
@@ -43,6 +53,15 @@ class TestPutGet:
         second = LineageStore(tmp_path)
         assert second.get(_key()) == _entry()
         second.close()
+
+    def test_get_without_content_hash(self, tmp_path):
+        # records are put with their content hash; a fresh handle finds
+        # them by cache key alone
+        with LineageStore(tmp_path) as store:
+            tags = _populate(store, 8)
+        with LineageStore(tmp_path) as store:
+            for tag in tags:
+                assert store.get(_key(tag)).name == tag
 
     def test_returned_objects_are_independent(self, tmp_path):
         # mutating what get() returned must not poison later hits
@@ -90,6 +109,18 @@ class TestLRUFront:
         assert warm.prime(["hash-a", "hash-b", "hash-missing"]) == 2
         assert len(warm._lru) == 2
         warm.close()
+
+    def test_primed_records_survive_a_garbage_file(self, tmp_path):
+        with LineageStore(tmp_path) as store:
+            tags = _populate(store, 16)
+        store = LineageStore(tmp_path)
+        assert store.prime([f"hash-{tag}" for tag in tags]) == 16
+        # the file is broken: primed records are served from memory
+        with open(tmp_path / STORE_FILENAME, "wb") as handle:
+            handle.write(b"garbage")
+        for tag in tags:
+            assert store.get(_key(tag)).name == tag
+        store.close()
 
 
 class TestCorruption:
@@ -250,37 +281,21 @@ class TestClosedLifecycle:
         store.flush()  # no reopened connections, no error
 
 
-class TestPerShardStats:
-    def test_single_file_store_reports_one_shard(self, tmp_path):
+class TestStoreStats:
+    def test_stats_report_the_file(self, tmp_path):
         store = LineageStore(str(tmp_path))
         store.put(_key("a"), _entry("a"))
         try:
             stats = store.stats()
             assert stats["entries"] == 1
-            shards = stats["per_shard"]
-            assert len(shards) == 1
-            assert shards[0]["shard"] == 0
-            assert shards[0]["entries"] == 1
-            assert shards[0]["path"].endswith(STORE_FILENAME)
-            assert shards[0]["size_bytes"] > 0
+            assert stats["path"].endswith(STORE_FILENAME)
+            assert stats["size_bytes"] > 0
+            assert stats["breaker"] == "closed"
+            assert stats["breaker_trips"] == 0
         finally:
             store.close()
 
-    def test_sharded_breakdown_sums_to_the_totals(self, tmp_path):
-        store = LineageStore(str(tmp_path), shards=4)
-        for index in range(12):
-            store.put(_key(f"v{index}"), _entry(f"v{index}"))
-        try:
-            stats = store.stats()
-            shards = stats["per_shard"]
-            assert len(shards) == 4
-            assert sum(s["entries"] for s in shards) == stats["entries"] == 12
-            assert sum(s["source_entries"] for s in shards) == stats["source_entries"]
-            assert len({s["path"] for s in shards}) == 4
-        finally:
-            store.close()
-
-    def test_hit_counts_accumulate_per_shard(self, tmp_path):
+    def test_hit_counts_accumulate(self, tmp_path):
         store = LineageStore(str(tmp_path))
         store.put(_key("hot"), _entry("hot"))
         store.flush()
@@ -291,6 +306,127 @@ class TestPerShardStats:
             store._lru.clear()
         try:
             stats = store.stats()
-            assert stats["per_shard"][0]["hit_count"] >= 3
+            assert stats["hit_count"] >= 3
         finally:
             store.close()
+
+
+class TestOldShardedDirectory:
+    """A directory written by the retired multi-file layout is a cold
+    cache: it opens, misses, gains ``lineage.sqlite``, and its old files
+    are left as they were."""
+
+    def test_opens_as_a_cold_cache(self, tmp_path):
+        manifest = tmp_path / "shards.json"
+        manifest.write_text('{"version": 1, "shards": 4}\n')
+        old_file = tmp_path / "lineage-000-of-004.sqlite"
+        with sqlite3.connect(old_file) as connection:
+            connection.execute(
+                "CREATE TABLE lineage_records (cache_key TEXT PRIMARY KEY, "
+                "record TEXT)"
+            )
+            connection.execute(
+                "INSERT INTO lineage_records VALUES (?, ?)",
+                (_key("old"), json.dumps(_entry("old").to_record())),
+            )
+        connection.close()
+        before = {path.name: path.read_bytes() for path in (manifest, old_file)}
+
+        store = LineageStore(tmp_path)
+        try:
+            assert store.get(_key("old")) is None
+            assert store.misses == 1
+            assert store.put(_key("new"), _entry("new"))
+            assert store.stats()["entries"] == 1
+        finally:
+            store.close()
+        assert (tmp_path / STORE_FILENAME).exists()
+        after = {path.name: path.read_bytes() for path in (manifest, old_file)}
+        assert after == before
+
+
+class TestConcurrentAccess:
+    def test_connection_uses_wal_and_busy_timeout(self, tmp_path):
+        store = LineageStore(tmp_path)
+        try:
+            with store._lock:
+                connection = store._connect()
+            assert connection.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+            timeout = connection.execute("PRAGMA busy_timeout").fetchone()[0]
+            assert timeout == BUSY_TIMEOUT_MS
+        finally:
+            store.close()
+
+    def test_two_handles_write_concurrently(self, tmp_path):
+        """Two store handles on one directory, four writer threads: WAL plus
+        the busy timeout must absorb the contention without dropping writes,
+        as two real processes sharing a cache directory would."""
+        with LineageStore(tmp_path) as store:
+            _populate(store, 1, prefix="seed")
+        first = LineageStore(tmp_path)
+        second = LineageStore(tmp_path)
+        handles = [first, second]
+        failures = []
+
+        def writer(worker):
+            store = handles[worker % 2]
+            for index in range(25):
+                tag = f"w{worker}-{index}"
+                if not store.put(_key(tag), _entry(tag), content_hash=f"hash-{tag}"):
+                    failures.append(tag)
+                if index % 5 == 0:
+                    store.flush()
+
+        threads = [threading.Thread(target=writer, args=(w,)) for w in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        first.close()
+        second.close()
+        assert not failures, f"dropped writes under contention: {failures[:5]}"
+
+        with LineageStore(tmp_path) as store:
+            assert store.stats()["entries"] == 101  # 1 seed + 100 concurrent
+            for worker in range(4):
+                for index in range(25):
+                    tag = f"w{worker}-{index}"
+                    assert store.get(_key(tag)).name == tag
+
+    def test_readers_run_against_an_active_writer(self, tmp_path):
+        with LineageStore(tmp_path) as store:
+            tags = _populate(store, 10, prefix="r")
+        writer_store = LineageStore(tmp_path)
+        reader_store = LineageStore(tmp_path)
+        errors = []
+        stop = threading.Event()
+
+        def writer():
+            index = 0
+            while not stop.is_set():
+                tag = f"extra{index}"
+                writer_store.put(_key(tag), _entry(tag), content_hash=f"hash-{tag}")
+                writer_store.flush()
+                index += 1
+
+        def reader():
+            try:
+                for _ in range(20):
+                    for tag in tags:
+                        got = reader_store.get(_key(tag))
+                        assert got is not None and got.name == tag
+            except Exception as exc:  # noqa: BLE001 - surfaced via the list
+                errors.append(exc)
+
+        writer_thread = threading.Thread(target=writer)
+        reader_threads = [threading.Thread(target=reader) for _ in range(3)]
+        writer_thread.start()
+        for thread in reader_threads:
+            thread.start()
+        for thread in reader_threads:
+            thread.join()
+        stop.set()
+        writer_thread.join()
+        writer_store.close()
+        reader_store.close()
+        assert not errors, errors[0]

@@ -154,12 +154,8 @@ class TestExecution:
 
 #: (command prefix, flag) for every flag parsed by ``cli._positive_int``
 POSITIVE_INT_FLAGS = [
-    (["x.sql"], "--cache-shards"),
-    (["extract", "x.sql"], "--cache-shards"),
     (["impact", "x.sql", "t.c"], "--max-depth"),
     (["cache", "gc", "--cache-dir", "d"], "--max-entries"),
-    (["cache", "migrate", "--cache-dir", "d"], "--shards"),
-    (["serve"], "--cache-shards"),
     (["serve"], "--max-pending"),
     (["serve"], "--max-batch-statements"),
     (["stream", "q.jsonl"], "--batch-statements"),
@@ -485,6 +481,19 @@ class TestCacheSubcommand:
     def test_cache_dir_required(self):
         with pytest.raises(SystemExit):
             run_cli("cache", "stats")
+
+    @pytest.mark.parametrize(
+        "argv", [["stats"], ["clear"], ["gc", "--max-entries", "1"]],
+        ids=["stats", "clear", "gc"],
+    )
+    def test_missing_store_is_an_error(self, argv, tmp_path, capsys):
+        # a mistyped --cache-dir must not create an empty store there
+        cache_dir = str(tmp_path / "nosuch" / "typo")
+        code, output = run_cli("cache", *argv, "--cache-dir", cache_dir)
+        assert code == 2
+        assert output == ""
+        assert capsys.readouterr().err == f"error: no lineage store at {cache_dir}\n"
+        assert not (tmp_path / "nosuch").exists()
 
 
 class TestStreamSubcommand:

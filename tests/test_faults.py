@@ -12,12 +12,12 @@ def _clean_plan():
     faults.reset()
 
 
-def _schedule(plan, site, hits, shard=None):
+def _schedule(plan, site, hits):
     """True/False outcome of `hits` consecutive fires at `site`."""
     outcomes = []
     for _ in range(hits):
         try:
-            plan.fire(site, shard=shard)
+            plan.fire(site)
             outcomes.append(False)
         except faults.InjectedFault:
             outcomes.append(True)
@@ -62,13 +62,6 @@ class TestRates:
         plan = faults.FaultPlan(seed=0, rates={"store.read": 1.0})
         assert all(_schedule(plan, "store.read", 10))
 
-    def test_shard_qualified_rate_wins_over_bare(self):
-        plan = faults.FaultPlan(
-            seed=0, rates={"store.read": 0.0, "store.read[2]": 1.0}
-        )
-        assert not any(_schedule(plan, "store.read", 10, shard=1))
-        assert all(_schedule(plan, "store.read", 10, shard=2))
-
     def test_unlisted_site_is_a_noop(self):
         plan = faults.FaultPlan(seed=0, rates={"store.read": 1.0})
         plan.fire("journal.append")  # no rate: must not raise
@@ -89,10 +82,10 @@ class TestModuleGlobals:
         faults.fire("x.y")  # deactivated
 
     def test_injected_fault_carries_site(self):
-        faults.install(faults.FaultPlan(seed=0, rates={"store.write[1]": 1.0}))
+        faults.install(faults.FaultPlan(seed=0, rates={"store.write": 1.0}))
         with pytest.raises(faults.InjectedFault) as error:
-            faults.fire("store.write", shard=1)
-        assert error.value.site == "store.write[1]"
+            faults.fire("store.write")
+        assert error.value.site == "store.write"
 
 
 class TestEnvRoundTrip:
