@@ -33,7 +33,7 @@ from repro.core.scheduler import AutoInferenceScheduler
 from repro.datasets import workload
 from repro.output.csv_output import graph_to_csv
 from repro.sqlparser.dialect import normalize_name
-from repro.store import LineageStore
+from repro.store import STORE_FILENAME, LineageStore
 
 SMOKE = bool(os.environ.get("DIFFERENTIAL_SMOKE"))
 NUM_SEEDS = int(os.environ.get("DIFFERENTIAL_SEEDS", "3" if SMOKE else "10"))
@@ -234,24 +234,19 @@ def test_cold_vs_warm_store_equivalence(seed, tmp_path):
     baseline = _signature(_run(warehouse))
     num_statements = len(warehouse.views)
 
-    axes = {}
-    for stream in (False, True):
-        suffix = "-stream" if stream else ""
-        store = LineageStore(tmp_path / f"cache{suffix}")
-        try:
-            axes[f"cold-store{suffix}"] = _run(warehouse, store=store, stream=stream)
-            warm = axes[f"warm-store{suffix}"] = _run(
-                warehouse, store=store, stream=stream
-            )
-        finally:
-            store.close()
-        assert warm.stats()["num_reused_store"] == num_statements, (
-            f"seed={seed}: the warm{suffix} run spliced "
-            f"{warm.stats()['num_reused_store']}/{num_statements} from the "
-            f"store (reproduce with: {_recipe(seed)})"
-        )
-    for axis, result in axes.items():
-        _assert_equivalent(seed, warehouse, axis, baseline, _signature(result))
+    store = LineageStore(tmp_path / "cache")
+    try:
+        cold = _run(warehouse, store=store)
+        warm = _run(warehouse, store=store)
+    finally:
+        store.close()
+    assert warm.stats()["num_reused_store"] == num_statements, (
+        f"seed={seed}: the warm run spliced "
+        f"{warm.stats()['num_reused_store']}/{num_statements} from the "
+        f"store (reproduce with: {_recipe(seed)})"
+    )
+    _assert_equivalent(seed, warehouse, "cold-store", baseline, _signature(cold))
+    _assert_equivalent(seed, warehouse, "warm-store", baseline, _signature(warm))
 
 
 # ----------------------------------------------------------------------
@@ -270,6 +265,55 @@ def test_streaming_equivalence(seed):
         ),
     }
     for axis, result in axes.items():
+        _assert_equivalent(seed, warehouse, axis, baseline, _signature(result))
+
+
+# ----------------------------------------------------------------------
+# a cache directory left by the retired sharded layout
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sharded_store_equivalence(seed, tmp_path):
+    """A directory holding the retired layout's manifest and shard files
+    (here each a full copy of a filled store) is a cold cache: nothing is
+    read from the old files, the streaming cold and warm runs through it
+    match the baseline, the warm run splices every statement, and the old
+    files are left as they were."""
+    warehouse = _warehouse(seed)
+    baseline = _signature(_run(warehouse))
+    num_statements = len(warehouse.views)
+
+    filled = LineageStore(tmp_path / "filled")
+    try:
+        _run(warehouse, store=filled, stream=True)
+    finally:
+        filled.close()
+    filled_bytes = (tmp_path / "filled" / STORE_FILENAME).read_bytes()
+    sharded_dir = tmp_path / "sharded"
+    sharded_dir.mkdir()
+    (sharded_dir / "shards.json").write_text('{"version": 1, "shards": 4}\n')
+    for index in range(4):
+        (sharded_dir / f"lineage-{index:03d}-of-004.sqlite").write_bytes(filled_bytes)
+    old_files = {path.name: path.read_bytes() for path in sharded_dir.iterdir()}
+
+    store = LineageStore(sharded_dir)
+    try:
+        cold = _run(warehouse, store=store, stream=True)
+        warm = _run(warehouse, store=store, stream=True)
+    finally:
+        store.close()
+    assert cold.stats()["num_reused_store"] == 0, (
+        f"seed={seed}: the cold run spliced records from the old shard files "
+        f"(reproduce with: {_recipe(seed)})"
+    )
+    assert warm.stats()["num_reused_store"] == num_statements, (
+        f"seed={seed}: the warm run spliced "
+        f"{warm.stats()['num_reused_store']}/{num_statements} "
+        f"(reproduce with: {_recipe(seed)})"
+    )
+    assert {
+        name: (sharded_dir / name).read_bytes() for name in old_files
+    } == old_files
+    for axis, result in (("sharded-dir-cold", cold), ("sharded-dir-warm", warm)):
         _assert_equivalent(seed, warehouse, axis, baseline, _signature(result))
 
 
