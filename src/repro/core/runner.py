@@ -254,8 +254,9 @@ class LineageXRunner:
         self.collect_traces = collect_traces
         self.id_generator = id_generator
         self.mode = mode
-        #: optional :class:`repro.store.LineageStore`; when set, extraction
-        #: consults it before scheduling and persists new results after.
+        #: optional :class:`repro.store.LineageStore`; when set, the
+        #: scheduler looks each entry up in it before extracting the entry,
+        #: and the run persists what it extracted.
         self.store = store
         self.dialect = dialect
         #: streaming mode for statement counts beyond what comfortably fits
@@ -412,9 +413,6 @@ class LineageXRunner:
             )
             return lineage, {name: columns for name, columns in read if columns is not None}
 
-        store = self._usable_store()
-        if store is not None:
-            store.prime(entries[identifier].content_hash for identifier in dirty)
         delta = Delta(
             graph=prev_result.graph,
             results=results,
@@ -425,7 +423,6 @@ class LineageXRunner:
             schema_changed=schema_changed,
             previous_columns=previous_columns,
             previous_read=previous_read,
-            stored=None if store is None else functools.partial(self._stored, store, catalog),
         )
         return self._run_scheduler(
             query_dictionary, catalog=catalog, dag=dag, delta=delta,
@@ -595,12 +592,19 @@ class LineageXRunner:
                        previous=None, source_hashes=None):
         if catalog is None:
             catalog = self._build_catalog(query_dictionary)
-        seed_results = None
+        stored = None
         store = self._usable_store()
-        if store is not None and delta is None:
-            if dag is None:
-                dag = DependencyDAG.from_query_dictionary(query_dictionary)
-            seed_results = self._splice_from_store(store, query_dictionary, catalog, dag)
+        if store is not None:
+            # one batched read of the records the run may look up: every
+            # entry's on a full run, the changed ones' on a refresh
+            entries = query_dictionary.entries
+            primed = {
+                entries[identifier].content_hash
+                for identifier in (entries if delta is None else delta.dirty)
+            }
+            found = store.prime(primed)
+            absent = frozenset() if found is None else primed - found
+            stored = functools.partial(self._stored, store, catalog, absent)
         scheduler = AutoInferenceScheduler(
             query_dictionary,
             catalog=catalog,
@@ -608,10 +612,10 @@ class LineageXRunner:
             use_stack=self.use_stack,
             collect_traces=self.collect_traces,
             mode=self.mode,
-            seed_results=seed_results,
             dag=dag,
             release_asts=self.stream,
             delta=delta,
+            stored=stored,
         )
         graph, report = scheduler.run()
         usage = self._attach_base_tables(
@@ -661,7 +665,7 @@ class LineageXRunner:
         The self-reference (a query reading the relation it writes) is
         resolved through the *catalog only* — during extraction the entry's
         own result does not exist yet, so consulting results would stamp a
-        fingerprint the next run's pre-pass could never reconstruct, and
+        fingerprint the next run's lookup could never reconstruct, and
         ignoring the self-read entirely would let a schema change to the
         self-read table produce a stale warm hit.
         """
@@ -676,57 +680,9 @@ class LineageXRunner:
                 rows.append((name, lookup(name)))
         return rows
 
-    def _splice_from_store(self, store, query_dictionary, catalog, dag):
-        """A full run's store hits, ``{identifier: lineage}``, found by
-        walking the entries in plan order.
-
-        Mirrors how the incremental layer splices ``prev_result``: a hit
-        becomes a ``seed_result`` the scheduler treats as already
-        processed.  An entry's key needs the column lists of everything it
-        references, so hits resolve in topological order — an upstream
-        miss (changed content, schema drift, version bump) conservatively
-        re-extracts every dependent whose resolved schemas it feeds.  (An
-        incremental run looks each pending entry up when the scheduler
-        reaches it instead, once what it reads has settled; see
-        :class:`~repro.core.scheduler.Delta`.)
-        """
-        entries = query_dictionary.entries
-        store.prime(entry.content_hash for entry in entries.values())
-        hits = {}
-
-        def lookup(name):
-            # a dependency always sits in an earlier wave
-            hit = hits.get(name)
-            if hit is not None:
-                return list(hit.output_columns)
-            table = catalog.get(name) if catalog is not None else None
-            if table is not None:
-                return table.column_names()
-            return None
-
-        # never splice entries on (or downstream of) a dependency cycle: the
-        # cold path raises CyclicDependencyError for them, and a warm hit
-        # must not change which runs fail
-        level, position = dag.level, query_dictionary.positions
-        unresolvable = set()
-        for identifier in sorted(
-            level, key=lambda identifier: (level[identifier], position[identifier])
-        ):
-            # a dependency that is itself a pending Query Dictionary entry
-            # makes the key incomputable before extraction -> cold path
-            if not unresolvable.isdisjoint(dag.dependencies[identifier]):
-                unresolvable.add(identifier)
-                continue
-            cached = self._stored(store, catalog, entries[identifier], lookup)
-            if cached is None:
-                unresolvable.add(identifier)
-                continue
-            hits[identifier] = cached
-        return hits
-
-    def _stored(self, store, catalog, entry, lookup):
-        """The store's record of ``entry`` extracted against the column
-        lists ``lookup(name)`` gives, or ``None``."""
+    def _key(self, entry, catalog, lookup):
+        """``(cache key, schema fingerprint)`` of ``entry`` extracted
+        against the column lists ``lookup(name)`` gives."""
         from ..store import make_key, schema_fingerprint
 
         fingerprint = schema_fingerprint(
@@ -734,30 +690,28 @@ class LineageXRunner:
             strict=self.strict,
         )
         key = make_key(entry.content_hash, self.dialect, EXTRACTOR_VERSION, fingerprint)
-        return store.get(key)
+        return key, fingerprint
+
+    def _stored(self, store, catalog, absent, entry, lookup):
+        """The store's record of ``entry`` extracted against the column
+        lists ``lookup(name)`` gives, or ``None`` — at once, with no key
+        computed, when ``entry``'s content hash is in ``absent`` (primed,
+        and no record has it)."""
+        if entry.content_hash in absent:
+            return None
+        return store.get(self._key(entry, catalog, lookup)[0])
 
     def _persist_results(self, store, query_dictionary, catalog, scheduler, report):
         """Write every newly extracted entry's record to the store.
 
-        Keys are computed from the *final* resolved schemas — with the
-        deferral stack enabled an entry only completes once every
+        Keys are computed from the *final* resolved schemas (the
+        scheduler's ``_columns``, the lookup :meth:`_stored` is given) —
+        with the deferral stack enabled an entry only completes once every
         dependency it consulted is resolved, so the post-run view equals
-        what its extraction saw (and what the next run's pre-pass will
-        reconstruct from store hits).
+        what its extraction saw, and what the next run's lookup
+        reconstructs when the entry's turn comes.
         """
-        from ..store import make_key, schema_fingerprint
-
         results = scheduler.results
-
-        def lookup(name):
-            lineage = results.get(name)
-            if lineage is not None:
-                return list(lineage.output_columns)
-            table = catalog.get(name) if catalog is not None else None
-            if table is not None:
-                return table.column_names()
-            return None
-
         rows = []
         for identifier in report.order:
             if identifier in report.unresolved:
@@ -766,13 +720,7 @@ class LineageXRunner:
             entry = query_dictionary.get(identifier)
             if lineage is None or entry is None:
                 continue
-            fingerprint = schema_fingerprint(
-                self._dependency_schemas(entry, catalog, lookup),
-                strict=self.strict,
-            )
-            key = make_key(
-                entry.content_hash, self.dialect, EXTRACTOR_VERSION, fingerprint
-            )
+            key, fingerprint = self._key(entry, catalog, scheduler._columns)
             rows.append(
                 (
                     key,

@@ -26,9 +26,12 @@ is treated as an external table of unknown schema, reproducing the failure
 modes of single-pass tools.  (``use_stack=False`` forces the reactive mode
 — planning would mask exactly the failure modes the ablation measures.)
 
-``seed_results`` pre-populates a full run's extraction results (keyed by
-identifier): seeded entries are treated as already processed and spliced
-into the output graph unchanged — the persistent store's warm hits.
+``stored(entry, columns)`` is the persistent store's record of an entry
+extracted against the column lists ``columns(name)`` gives, or ``None``.
+A full run and an incremental one use it alike: a pending entry is looked
+up when its turn comes and nothing it reads is pending any more, so the
+key is the one its extraction would be stored under, and a hit is spliced
+instead of extracted.
 
 A :class:`Delta` makes the run incremental, and its cost follows the
 delta, not the corpus: the previous result's lineage is the starting
@@ -46,12 +49,12 @@ extraction besides the statement and the ``strict`` flag): equal inputs
 give equal output, so the previous lineage is spliced instead — the "early
 cutoff" of build systems, which stops re-extraction at the first entry
 whose inputs did not change.  Any other pending entry is looked up in the
-persistent store (when there is one) by the column lists it reads now,
-before it is extracted.  A pending entry that the DAG puts on a dependency
-cycle brings the rest of its cycle into the run, so the stack rejects the
-cycle exactly as a full run does.  The run's graph is the previous one
-derived (:meth:`~repro.core.lineage.LineageGraph.derive`) with just the
-entries that changed, and the report derives its whole-dictionary views
+persistent store (``stored``) before it is extracted.  A pending entry
+that the DAG puts on a dependency cycle brings the rest of its cycle into
+the run, so the stack rejects the cycle exactly as a full run does.  The
+run's graph is the previous one derived
+(:meth:`~repro.core.lineage.LineageGraph.derive`) with just the entries
+that changed, and the report derives its whole-dictionary views
 (``waves``, ``reused``, ``reused_from``) only when read.
 """
 
@@ -155,16 +158,12 @@ class Delta:
     ``previous_columns(name)`` is what a reader of ``name`` saw in the
     previous run, and ``previous_read(identifier)`` the previous lineage
     of an entry and the ``{relation: columns}`` its extraction read, or
-    ``None`` when it has none to splice.  ``stored(entry, columns)`` is
-    the persistent store's record of ``entry`` extracted against the
-    column lists ``columns(name)`` gives, or ``None`` (``stored`` is
-    ``None`` without a store).  Without the stack, the dirty set already
-    holds every dependent and no suspect is ever added.
+    ``None`` when it has none to splice.  Without the stack, the dirty set
+    already holds every dependent and no suspect is ever added.
     """
 
     def __init__(self, graph, results, unresolved, dirty, suspects=(), removed=(),
-                 schema_changed=(), previous_columns=None, previous_read=None,
-                 stored=None):
+                 schema_changed=(), previous_columns=None, previous_read=None):
         self.graph = graph
         self.results = results
         self.unresolved = unresolved
@@ -174,7 +173,6 @@ class Delta:
         self.schema_changed = schema_changed
         self.previous_columns = previous_columns
         self.previous_read = previous_read
-        self.stored = stored
 
 
 class _SchedulerProvider(SchemaProvider):
@@ -259,10 +257,10 @@ class AutoInferenceScheduler:
         collect_traces=False,
         max_deferrals=None,
         mode="dag",
-        seed_results=None,
         dag=None,
         release_asts=False,
         delta=None,
+        stored=None,
     ):
         if mode not in ("dag", "stack"):
             raise ValueError(f"mode must be 'dag' or 'stack', got {mode!r}")
@@ -287,16 +285,12 @@ class AutoInferenceScheduler:
         #: the plan-first mode builds it on demand.
         self.dag = dag
         self.delta = delta
+        #: the persistent store's lookup (see the module docstring), or
+        #: ``None`` without a store
+        self.stored = stored
         if delta is None:
-            seeds = seed_results or {}
-            self.results = {
-                identifier: seeds[identifier]
-                for identifier in query_dictionary.entries if identifier in seeds
-            }
-            self.pending = {
-                identifier for identifier in query_dictionary.entries
-                if identifier not in self.results
-            }
+            self.results = {}
+            self.pending = set(query_dictionary.entries)
             self.unresolved = {}
             #: the entries this run examined, in the order they came up
             self.examined = {}
@@ -305,9 +299,8 @@ class AutoInferenceScheduler:
             self.pending = set(delta.dirty)
             self.unresolved = delta.unresolved
             self.examined = dict.fromkeys(delta.dirty)
-        #: identifiers spliced from the persistent store: a full run's
-        #: seeds, an incremental run's :meth:`_splice_stored` hits
-        self.store_hits = set(self.results) if delta is None else set()
+        #: identifiers spliced from the persistent store (:meth:`_splice_stored`)
+        self.store_hits = set()
         #: the names an incremental run added to or removed from the graph
         #: it derived, in that order
         self.graph_changes = []
@@ -326,12 +319,11 @@ class AutoInferenceScheduler:
     def run(self):
         """Process the pending entries; return ``(graph, report)``.
 
-        A full run extracts every entry that was not seeded and assembles
-        a new graph.  With a :class:`Delta`, only the dirty entries and
-        the suspects are pending: an entry whose column list comes out
-        different from the previous run's makes its readers suspects in
-        turn, and the graph is the previous one derived with just the
-        entries that changed.
+        A full run settles every entry and assembles a new graph.  With a
+        :class:`Delta`, only the dirty entries and the suspects are
+        pending: an entry whose column list comes out different from the
+        previous run's makes its readers suspects in turn, and the graph is
+        the previous one derived with just the entries that changed.
         """
         planned = self.use_stack and (self.mode == "dag" or self.delta is not None)
         if planned and self.dag is None:
@@ -383,9 +375,9 @@ class AutoInferenceScheduler:
     # Plan-first (DAG) order
     # ------------------------------------------------------------------
     def _run_planned(self, report):
-        """Extract the pending entries by ``(level, position)``: the order of
+        """Settle the pending entries by ``(level, position)``: the order of
         :meth:`DependencyDAG.waves`; entries on a cycle come last, by
-        position, through the stack, which reports genuine cycles."""
+        position, and the stack reports genuine cycles."""
         for identifier in list(self.pending):
             self._join_cycle(identifier)
         for identifier in self.pending:
@@ -395,20 +387,9 @@ class AutoInferenceScheduler:
         heapq.heapify(self._cyclic)
         self._running = True
         while self._queue or self._cyclic:
-            if self._queue:
-                identifier = heapq.heappop(self._queue)[2]
-                # the plan puts no entry in the same wave as a relation it
-                # reads, so what an entry reads has settled by its turn
-                if (
-                    identifier in self.pending
-                    and not self._splice_candidate(identifier)
-                    and not self._splice_stored(identifier)
-                ):
-                    self._process_with_stack(identifier, report)
-            else:
-                identifier = heapq.heappop(self._cyclic)[1]
-                if identifier in self.pending:
-                    self._process_with_stack(identifier, report)
+            identifier = heapq.heappop(self._queue or self._cyclic)[-1]
+            if identifier in self.pending:
+                self._process_with_stack(identifier, report)
 
     def _queued(self, identifier):
         """``(queue, item)`` that schedules ``identifier``: by level and
@@ -545,25 +526,32 @@ class AutoInferenceScheduler:
         return table.column_names() if table is not None else None
 
     def _splice_stored(self, identifier):
-        """Reuse the persistent store's record of an entry of an incremental
-        run, keyed on the column lists it reads now.
+        """Reuse the persistent store's record of an entry, keyed on the
+        column lists it reads now.
 
-        Only called from the planned queue, which reaches an entry once
-        every relation it reads has settled (the DAG orders it after them),
-        so the key is the one the entry's extraction would be stored under
-        — a reader whose input columns changed back to an earlier state (an
-        edit, then its revert) hits that state's record.  Returns ``True``
-        on a hit.
+        Only once nothing the entry reads is pending: the key is then the
+        one its extraction would be stored under — a reader whose input
+        columns changed back to an earlier state (an edit, then its revert)
+        hits that state's record.  An entry on or below a dependency cycle
+        reads a pending entry until the stack raises
+        :class:`CyclicDependencyError`, so a hit never changes which runs
+        fail.  Returns ``True`` on a hit.
         """
-        stored = self.delta.stored if self.delta is not None else None
-        if stored is None:
+        if self.stored is None:
             return False
-        lineage = stored(self.query_dictionary.get(identifier), self._columns)
+        entry = self.query_dictionary.get(identifier)
+        if not self.pending.isdisjoint(entry.dependencies()):
+            return False
+        lineage = self.stored(entry, self._columns)
         if lineage is None:
             return False
         self.results[identifier] = lineage
         self.pending.discard(identifier)
         self.store_hits.add(identifier)
+        if self.release_asts:
+            # stack mode parses an entry it attempts while an input is
+            # still pending; streaming drops that AST as after an extraction
+            entry.release()
         self._settled(identifier)
         return True
 
@@ -596,9 +584,10 @@ class AutoInferenceScheduler:
             if current not in self.pending:
                 stack.pop()
                 continue
-            if self._splice_candidate(current):
-                # its inputs are unchanged: the previous lineage stands, and
-                # whatever was deferred on it resumes as after an extraction
+            if self._splice_candidate(current) or self._splice_stored(current):
+                # its inputs are unchanged, or the store holds its lineage
+                # against them: that lineage stands, and whatever was
+                # deferred on it resumes as after an extraction
                 stack.pop()
                 if stack:
                     report.events.append(

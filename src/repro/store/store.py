@@ -409,7 +409,7 @@ class LineageStore:
 
     def _select_in(self, sql, values):
         """The rows of ``sql`` (one ``IN ({})`` slot) over ``values``, one
-        SELECT per :data:`_CHUNK` values; ``[]`` when the read degrades."""
+        SELECT per :data:`_CHUNK` values; ``None`` when the read degrades."""
 
         def _read(connection):
             rows = []
@@ -423,28 +423,35 @@ class LineageStore:
             return rows
 
         ok, rows = self._io("read", _read)
-        return rows if ok else []
+        return rows if ok else None
 
     def prime(self, content_hashes):
-        """Bulk-load every record matching ``content_hashes`` into the LRU.
+        """Bulk-load every record matching ``content_hashes`` into the LRU;
+        return the set of those hashes that have a record.
 
-        The warm-start pre-pass resolves keys sequentially (each key needs
-        the upstream hits' schemas), but the *content hashes* of the whole
-        corpus are known up front — one batched SELECT per chunk replaces
-        hundreds of point lookups.  Purely an optimisation: keys not
-        primed still resolve through :meth:`get`.
+        A run looks an entry up only once the column lists it reads are
+        known, one key at a time, but the *content hashes* of every entry
+        it may look up are known up front: one batched SELECT per chunk
+        replaces a point query per entry, and a hash outside the returned
+        set needs no lookup at all.  Returns ``None`` when nothing was
+        read (the LRU front is off, or the read degraded): then no hash is
+        known to be absent, and every key still resolves through
+        :meth:`get`.
         """
         if self._lru.capacity <= 0:
-            return 0
+            return None
         hashes = [str(value) for value in content_hashes]
         if not hashes:
-            return 0
-        primed = 0
-        for key, text in self._select_in(
-            "SELECT cache_key, record FROM lineage_records "
+            return set()
+        rows = self._select_in(
+            "SELECT cache_key, content_hash, record FROM lineage_records "
             "WHERE content_hash IN ({})",
             hashes,
-        ):
+        )
+        if rows is None:
+            return None
+        found = set()
+        for key, content_hash, text in rows:
             try:
                 record = json.loads(text)
             except (TypeError, ValueError):
@@ -452,8 +459,8 @@ class LineageStore:
                 continue
             if isinstance(record, dict):
                 self._lru.put(key, record)
-                primed += 1
-        return primed
+                found.add(content_hash)
+        return found
 
     def _fetch(self, key):
         """The decoded record stored under one cache key, or ``None``."""
@@ -594,7 +601,7 @@ class LineageStore:
             "SELECT source_key, record FROM source_records "
             "WHERE source_key IN ({})",
             keys,
-        ):
+        ) or ():
             try:
                 found[key] = json.loads(text)
             except (TypeError, ValueError):

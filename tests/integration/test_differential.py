@@ -22,7 +22,9 @@ Every failure message prints the reproducing seed and the exact
 ``generate_warehouse(...)`` call that rebuilds the workload.
 """
 
+import contextlib
 import os
+import sqlite3
 
 import pytest
 
@@ -962,6 +964,27 @@ def _dag_rows(dag):
     )
 
 
+def _warm_full_runs(store, directory, catalog, sources):
+    """A full run of ``sources`` in each mode, each by a new runner over its
+    own copy of ``store``: ``{mode: result, or the CyclicDependencyError it
+    raised}``."""
+    outcomes = {}
+    for mode in ("dag", "stack"):
+        path = directory / mode
+        path.mkdir(parents=True)
+        with contextlib.closing(sqlite3.connect(store.path)) as source, \
+                contextlib.closing(sqlite3.connect(path / STORE_FILENAME)) as target:
+            source.backup(target)
+        copy = LineageStore(path)
+        try:
+            outcomes[mode] = LineageXRunner(catalog=catalog, store=copy, mode=mode).run(sources)
+        except CyclicDependencyError as error:
+            outcomes[mode] = error
+        finally:
+            copy.close()
+    return outcomes
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("cached", [False, True], ids=["memory", "store"])
 def test_chained_refresh_equivalence(seed, cached, tmp_path):
@@ -974,7 +997,11 @@ def test_chained_refresh_equivalence(seed, cached, tmp_path):
     topological order.  With a persistent store, an oracle entry may
     splice from the store instead (the re-add of a removed view hits its
     first record, and so do its readers) and is then missing from the
-    order, nothing else."""
+    order, nothing else.  And a full run of the edited sources, by a new
+    runner over a copy of the store taken before the delta, in either
+    mode, renders the cold run's csv (or raises its error) and extracts
+    what the refresh extracts: in the same order in dag mode (stack mode
+    extracts in dictionary order, with deferrals)."""
     from tests.core.test_incremental import apply_changes, expected_reextracted
 
     warehouse = _warehouse(seed)
@@ -989,6 +1016,9 @@ def test_chained_refresh_equivalence(seed, cached, tmp_path):
         rejected = []
         for step, (shape, changes) in enumerate(deltas):
             axis = f"chain-{step}-{shape}"
+            warm = {} if store is None else _warm_full_runs(
+                store, tmp_path / axis, warehouse.catalog(), apply_changes(sources, changes)
+            )
             try:
                 full = runner.run(apply_changes(sources, changes))
             except CyclicDependencyError as error:
@@ -997,6 +1027,9 @@ def test_chained_refresh_equivalence(seed, cached, tmp_path):
                 with pytest.raises(CyclicDependencyError) as refused:
                     current.update(changes)
                 assert str(refused.value) == str(error), axis
+                for mode, outcome in warm.items():
+                    assert isinstance(outcome, CyclicDependencyError), f"{axis}, warm {mode}"
+                    assert str(outcome) == str(error), f"{axis}, warm {mode}"
                 rejected.append(shape)
                 continue
             sources = apply_changes(sources, changes)
@@ -1019,6 +1052,14 @@ def test_chained_refresh_equivalence(seed, cached, tmp_path):
                 if name in expected and name not in hits
             ], where
             store_hits += len(hits)
+            for mode, outcome in warm.items():
+                _assert_equivalent(
+                    seed, warehouse, f"{axis}-warm-{mode}",
+                    graph_to_csv(full.graph), graph_to_csv(outcome.graph),
+                )
+            if warm:
+                assert warm["dag"].report.order == current.report.order, where
+                assert set(warm["stack"].report.order) == set(current.report.order), where
             previous = full
     finally:
         if store is not None:

@@ -1,6 +1,6 @@
 """Warm-start read-path query accounting.
 
-The warm-start pre-pass knows the whole corpus up front, so its reads must
+A warm run knows every entry's content hash up front, so its reads must
 be *batched*: ``prime()`` loads lineage records with chunked ``IN (...)``
 SELECTs keyed by content hash, and the parse cache resolves every source
 fragment through one ``get_sources`` batch.  These tests pin the actual
@@ -74,6 +74,24 @@ def test_warm_start_read_path_is_batched(cache_dir):
     assert "IN (" in source_selects[0]
     # lineage records: one prime() batch; every subsequent key resolves
     # from the primed LRU without touching sqlite again
+    assert len(lineage_selects) == 1, lineage_selects
+    assert "IN (" in lineage_selects[0]
+
+
+def test_cold_run_sends_no_point_queries(cache_dir):
+    # prime() finds no record for any content hash, so no entry's key is
+    # looked up: the run reads lineage records once, in the prime batch
+    sources, catalog = _corpus()
+    statements = []
+    store = _traced_store(cache_dir, statements)
+    cold = LineageXRunner(catalog=catalog, store=store).run(sources)
+    store.close()
+    assert cold.stats()["num_reused_store"] == 0
+    lineage_selects = [
+        stmt
+        for stmt in statements
+        if "SELECT" in stmt and "FROM lineage_records" in stmt
+    ]
     assert len(lineage_selects) == 1, lineage_selects
     assert "IN (" in lineage_selects[0]
 

@@ -9,8 +9,16 @@ import pytest
 
 from repro.core.column_refs import ColumnName
 from repro.core.lineage import LINEAGE_RECORD_VERSION, TableLineage
+from repro.core.runner import LineageXRunner
 from repro.store import LineageStore, make_key, schema_fingerprint
 from repro.store.store import BUSY_TIMEOUT_MS, STORE_FILENAME
+from repro.testing import faults
+
+WAREHOUSE_SQL = """
+CREATE TABLE web (cid int, page text, date date);
+CREATE VIEW staging AS SELECT cid, page FROM web WHERE date > '2024-01-01';
+CREATE VIEW report AS SELECT s.page, count(*) AS hits FROM staging s GROUP BY s.page;
+"""
 
 
 def _entry(name="v"):
@@ -106,7 +114,7 @@ class TestLRUFront:
         store.put(_key("b"), _entry("b"), content_hash="hash-b")
         store.close()
         warm = LineageStore(tmp_path)
-        assert warm.prime(["hash-a", "hash-b", "hash-missing"]) == 2
+        assert warm.prime(["hash-a", "hash-b", "hash-missing"]) == {"hash-a", "hash-b"}
         assert len(warm._lru) == 2
         warm.close()
 
@@ -114,13 +122,47 @@ class TestLRUFront:
         with LineageStore(tmp_path) as store:
             tags = _populate(store, 16)
         store = LineageStore(tmp_path)
-        assert store.prime([f"hash-{tag}" for tag in tags]) == 16
+        hashes = [f"hash-{tag}" for tag in tags]
+        assert store.prime(hashes) == set(hashes)
         # the file is broken: primed records are served from memory
         with open(tmp_path / STORE_FILENAME, "wb") as handle:
             handle.write(b"garbage")
         for tag in tags:
             assert store.get(_key(tag)).name == tag
         store.close()
+
+    def test_prime_without_the_front_reads_nothing(self, tmp_path):
+        # no hash is known to be absent, so a warm run looks every entry up
+        with LineageStore(tmp_path, lru_size=0) as store:
+            LineageXRunner(store=store).run(WAREHOUSE_SQL)
+        with LineageStore(tmp_path, lru_size=0) as store:
+            assert store.prime(["hash-a"]) is None
+            warm = LineageXRunner(store=store).run(WAREHOUSE_SQL)
+            assert warm.stats()["num_reused_store"] == 2
+            assert store.hits == 2
+
+    def test_prime_whose_read_fails_reads_nothing(self, tmp_path):
+        # a failed read must not look like "no records": the warm run
+        # still looks every entry up, and splices it
+        with LineageStore(tmp_path) as store:
+            LineageXRunner(store=store).run(WAREHOUSE_SQL)
+        with LineageStore(tmp_path) as store:
+            prime = store.prime
+            returned = []
+
+            def failing_prime(content_hashes):
+                faults.install(faults.FaultPlan(seed=0, rates={"store.read": 1.0}))
+                try:
+                    returned.append(prime(content_hashes))
+                finally:
+                    faults.reset()
+                return returned[-1]
+
+            store.prime = failing_prime
+            warm = LineageXRunner(store=store).run(WAREHOUSE_SQL)
+            assert returned == [None]
+            assert store.error_misses == 1
+            assert warm.stats()["num_reused_store"] == 2
 
 
 class TestCorruption:

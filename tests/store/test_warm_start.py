@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.diff import diff_graphs
+from repro.core.dag import DependencyDAG
 from repro.core.errors import CyclicDependencyError
 from repro.core.runner import LineageXRunner
 from repro.datasets import workload
@@ -42,19 +43,35 @@ class TestRunnerWarmStart:
             assert not entry.is_parsed, entry.identifier
         store.close()
 
-    def test_content_change_invalidates_entry_and_dependents(self, tmp_path):
+    def test_content_change_reextracts_the_entry_alone(self, tmp_path):
         _run(tmp_path)
         changed = SQL.replace("date > '2024-01-01'", "date > '2025-01-01'")
         warm = _run(tmp_path, sources=changed)
-        # staging changed -> it re-extracts, and the pre-pass conservatively
-        # re-extracts its dependents too (their resolved schemas can only be
-        # trusted once the upstream entry is known again), mirroring how the
-        # incremental layer dirties transitive dependents
-        assert "staging" not in warm.report.reused
-        assert "report" not in warm.report.reused
+        # staging changed -> it re-extracts; its columns did not, so
+        # report's record, keyed on the columns it reads, still stands
+        assert warm.report.order == ["staging"]
+        assert warm.report.reused_from == {"report": "store"}
         # the second warm run over the changed corpus splices everything
         second = _run(tmp_path, sources=changed)
         assert set(second.report.reused) == {"staging", "report"}
+
+    @pytest.mark.parametrize("mode", ["dag", "stack"])
+    def test_column_preserving_edit_reextracts_one_entry(self, tmp_path, mode):
+        warehouse = workload.generate_warehouse(
+            num_base_tables=4, num_views=80, seed=3, deep_chain_probability=0.6
+        )
+        # out of dependency order, so the stack defers
+        sources = dict(reversed(list(warehouse.views.items())))
+        cold = _run(tmp_path, sources=sources, catalog=warehouse.catalog(), mode=mode)
+        dag = DependencyDAG.from_query_dictionary(cold.query_dictionary)
+        assert len(dag.transitive_dependents({"view_0"})) >= 10
+        head, body = sources["view_0"].split(" AS ", 1)
+        edited = {**sources, "view_0": f"{head} AS SELECT v.* FROM ({body}) v"}
+        warm = _run(tmp_path, sources=edited, catalog=warehouse.catalog(), mode=mode)
+        assert warm.report.order == ["view_0"]
+        assert warm.stats()["num_reused_store"] == len(sources) - 1
+        plain = LineageXRunner(catalog=warehouse.catalog(), mode=mode).run(edited)
+        assert diff_graphs(warm.graph, plain.graph).is_identical
 
     def test_upstream_schema_change_invalidates_dependents(self, tmp_path):
         _run(tmp_path)
@@ -98,6 +115,46 @@ class TestRunnerWarmStart:
         with pytest.raises(CyclicDependencyError):
             runner.run(cyclic)
         store.close()
+
+    def test_a_cycle_closed_over_a_stored_entry_still_raises(self, tmp_path):
+        # b's record is keyed on a as an unknown relation, which is what a
+        # pending a looks like: looked up before a settled, b would splice
+        # and let the cycle through
+        _run(tmp_path, sources={"b": "CREATE VIEW b AS SELECT x FROM a"})
+        cyclic = {
+            "b": "CREATE VIEW b AS SELECT x FROM a",
+            "a": "CREATE VIEW a AS SELECT x FROM b",
+        }
+        for mode in ("dag", "stack"):
+            store = LineageStore(tmp_path / "cache")
+            try:
+                with pytest.raises(CyclicDependencyError):
+                    LineageXRunner(store=store, mode=mode).run(cyclic)
+            finally:
+                store.close()
+
+    def test_an_input_defined_later_settles_before_the_lookup(self, tmp_path):
+        # r's record is keyed on v as an unknown relation; in stack mode r
+        # comes first, and must not be looked up while v is pending
+        reader = "CREATE VIEW r AS SELECT * FROM v"
+        _run(tmp_path, sources={"r": reader})
+        sources = {"r": reader, "v": "CREATE VIEW v AS SELECT t.a, t.b FROM t"}
+        warm = _run(tmp_path, sources=sources, mode="stack")
+        assert warm.report.order == ["v", "r"]
+        plain = LineageXRunner(mode="stack").run(sources)
+        assert diff_graphs(warm.graph, plain.graph).is_identical
+
+    def test_streaming_stack_mode_warm_run_holds_no_ast(self, tmp_path):
+        # out of dependency order, stack mode parses an entry it attempts
+        # before its input is spliced; streaming must drop that AST too
+        warehouse = workload.generate_warehouse(num_base_tables=4, num_views=60, seed=13)
+        sources = dict(reversed(list(warehouse.views.items())))
+        options = {"catalog": warehouse.catalog(), "mode": "stack", "stream": True}
+        _run(tmp_path, sources=sources, **options)
+        warm = _run(tmp_path, sources=sources, **options)
+        assert warm.report.order == []
+        assert warm.report.deferral_count > 0
+        assert not any(entry.is_parsed for _, entry in warm.query_dictionary.items())
 
     def test_warm_start_at_scale_splices_everything(self, tmp_path):
         warehouse = workload.generate_warehouse(
